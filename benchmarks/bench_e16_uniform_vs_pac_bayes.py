@@ -33,9 +33,7 @@ def build_instance(n: int, seed: int):
     task = GaussianThresholdTask(mu=1.0, sigma=1.0)
     x, y = task.sample(n, random_state=seed)
     grid = PredictorGrid(
-        np.linspace(-2.0, 2.0, 41),
-        lambda t, z: float(task.zero_one_loss(t, [z[0]], [z[1]])[0]),
-        loss_bounds=(0.0, 1.0),
+        np.linspace(-2.0, 2.0, 41), task.record_loss, loss_bounds=(0.0, 1.0)
     )
     return task, grid, list(zip(x, y))
 

@@ -142,14 +142,21 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         ) - beta_distribution.cdf(self.truncation, alpha + 1, beta)
         return float(weight * numerator / (high - low))
 
-    def posterior_density(self, data, theta) -> float:
-        """Truncated tempered posterior density at θ (exact, normalized)."""
-        theta = float(theta)
-        if not self.truncation <= theta <= 1.0 - self.truncation:
-            return 0.0
+    def posterior_density(self, data, theta):
+        """Truncated tempered posterior density at θ (exact, normalized).
+
+        ``theta`` is a scalar (returns a float) or an array (returns an
+        array of its shape); the density is 0 outside the truncation.
+        """
+        theta = np.asarray(theta, dtype=float)
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
-        return float(beta_distribution.pdf(theta, alpha, beta) / (high - low))
+        inside = (self.truncation <= theta) & (theta <= 1.0 - self.truncation)
+        density = np.zeros(theta.shape)
+        density[inside] = beta_distribution.pdf(theta[inside], alpha, beta) / (
+            high - low
+        )
+        return float(density) if density.ndim == 0 else density
 
     def mean_squared_error(self, data, truth: float, *, n_samples: int = 1000,
                            random_state=None) -> float:

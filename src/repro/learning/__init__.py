@@ -51,6 +51,7 @@ from repro.learning.preprocessing import (
     symmetrize_labels,
 )
 from repro.learning.erm import (
+    GridLoss,
     PredictorGrid,
     empirical_risk,
     empirical_risk_matrix,
@@ -63,6 +64,7 @@ __all__ = [
     "ConfusionMatrix",
     "CrossValidationResult",
     "GaussianThresholdTask",
+    "GridLoss",
     "HingeLoss",
     "HuberHingeLoss",
     "LinearRegressionTask",

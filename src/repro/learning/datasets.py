@@ -19,6 +19,7 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.exceptions import ValidationError
+from repro.learning.erm import GridLoss
 from repro.utils.validation import (
     check_in_range,
     check_positive,
@@ -39,6 +40,16 @@ class SyntheticTask(abc.ABC):
         return int(n)
 
 
+def _absolute_loss(theta: float, z) -> np.ndarray:
+    return np.abs(float(theta) - np.asarray(z, dtype=float))
+
+
+def _absolute_loss_matrix(thetas, sample) -> np.ndarray:
+    return np.abs(
+        np.asarray(thetas, dtype=float) - np.asarray(sample, dtype=float)[:, None]
+    )
+
+
 class BernoulliTask(SyntheticTask):
     """Z ~ Bernoulli(p); predictors θ ∈ [0, 1] guess the next outcome.
 
@@ -57,9 +68,9 @@ class BernoulliTask(SyntheticTask):
         rng = check_random_state(random_state)
         return (rng.uniform(size=n) < self.p).astype(int)
 
-    def loss(self, theta: float, z) -> np.ndarray:
-        """Absolute loss of predictor θ on outcomes z."""
-        return np.abs(float(theta) - np.asarray(z, dtype=float))
+    #: Absolute loss ``|θ - z|`` of predictor θ on outcomes z, with the
+    #: batch kernel :class:`~repro.learning.erm.PredictorGrid` uses.
+    loss = GridLoss(_absolute_loss, _absolute_loss_matrix)
 
     def empirical_risk(self, theta: float, sample) -> float:
         """``R̂(θ)`` on a sample."""
@@ -73,6 +84,22 @@ class BernoulliTask(SyntheticTask):
     def bayes_risk(self) -> float:
         """Risk of the best predictor: ``min(p, 1-p)``."""
         return min(self.p, 1.0 - self.p)
+
+
+def _threshold_zero_one(threshold, x, y) -> np.ndarray:
+    margins = np.asarray(y, dtype=float) * (
+        np.asarray(x, dtype=float) - np.asarray(threshold, dtype=float)
+    )
+    return (margins <= 0).astype(float)
+
+
+def _threshold_record_loss(threshold: float, z) -> float:
+    return float(_threshold_zero_one(threshold, [z[0]], [z[1]])[0])
+
+
+def _threshold_record_matrix(thresholds, sample) -> np.ndarray:
+    x, y = np.asarray(sample, dtype=float).T
+    return _threshold_zero_one(thresholds, x[:, None], y[:, None])
 
 
 class GaussianThresholdTask(SyntheticTask):
@@ -95,12 +122,14 @@ class GaussianThresholdTask(SyntheticTask):
         x = rng.normal(loc=y * self.mu, scale=self.sigma, size=n)
         return x, y
 
+    #: 0-1 loss of a threshold on one labelled record ``z = (x, y)``: the
+    #: per-record loss of a :class:`~repro.learning.erm.PredictorGrid` of
+    #: thresholds, with its batch kernel.
+    record_loss = GridLoss(_threshold_record_loss, _threshold_record_matrix)
+
     def zero_one_loss(self, threshold: float, x, y) -> np.ndarray:
         """0-1 loss of the threshold predictor on points (x, y)."""
-        margins = np.asarray(y, dtype=float) * (
-            np.asarray(x, dtype=float) - float(threshold)
-        )
-        return (margins <= 0).astype(float)
+        return _threshold_zero_one(float(threshold), x, y)
 
     def empirical_risk(self, threshold: float, x, y) -> float:
         """``R̂(t)`` on a sample."""

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.gibbs import GibbsEstimator
 from repro.distributions.continuous import LaplaceNoise
 from repro.exceptions import NotFittedError, ValidationError
-from repro.learning.erm import PredictorGrid
+from repro.learning.erm import GridLoss, PredictorGrid
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.utils.validation import check_positive, check_random_state
 
@@ -114,8 +114,17 @@ class GibbsDensityEstimator(Mechanism):
             density = probs[_bin_index(np.array([z]), self.bins)[0]] * self.bins
             return float(min(-np.log(max(density, 1e-300)), self.loss_ceiling))
 
+        def loss_matrix(candidates, sample):
+            bins = _bin_index(np.asarray(sample, dtype=float), self.bins)
+            density = np.asarray(candidates, dtype=float).T[bins] * self.bins
+            return np.minimum(
+                -np.log(np.maximum(density, 1e-300)), self.loss_ceiling
+            )
+
         grid = PredictorGrid(
-            self.candidates, loss, loss_bounds=(-np.log(self.bins) - 1e-9, self.loss_ceiling)
+            self.candidates,
+            GridLoss(loss, loss_matrix),
+            loss_bounds=(-np.log(self.bins) - 1e-9, self.loss_ceiling),
         )
         self.estimator = GibbsEstimator.from_privacy(grid, epsilon, sample_size)
         self.bin_probabilities: np.ndarray | None = None

@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.gibbs import GibbsEstimator
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.learning.erm import PredictorGrid
+from repro.learning.erm import GridLoss, PredictorGrid, pairwise_dot
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.utils.validation import check_random_state
 
@@ -85,6 +85,11 @@ def _zero_one_loss(theta: np.ndarray, z) -> float:
     return 1.0 if margin <= 0 else 0.0
 
 
+def _zero_one_loss_matrix(thetas, sample) -> np.ndarray:
+    x, y = (np.array(column, dtype=float) for column in zip(*sample))
+    return (y[:, None] * pairwise_dot(x, thetas) <= 0).astype(float)
+
+
 class ExponentialMechanismLearner(Mechanism):
     """ε-DP classification via the Gibbs estimator on a direction grid.
 
@@ -117,7 +122,10 @@ class ExponentialMechanismLearner(Mechanism):
         self.directions = direction_grid(dimension, resolution)
         grid = PredictorGrid(
             [tuple(theta) for theta in self.directions],
-            lambda theta, z: _zero_one_loss(np.asarray(theta), z),
+            GridLoss(
+                lambda theta, z: _zero_one_loss(np.asarray(theta), z),
+                _zero_one_loss_matrix,
+            ),
             loss_bounds=(0.0, 1.0),
         )
         self.estimator = GibbsEstimator.from_privacy(

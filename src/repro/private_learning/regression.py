@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.gibbs import GibbsEstimator
 from repro.distributions.continuous import LaplaceNoise
 from repro.exceptions import NotFittedError, ValidationError
-from repro.learning.erm import PredictorGrid
+from repro.learning.erm import GridLoss, PredictorGrid, pairwise_dot
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.utils.validation import check_array, check_positive, check_random_state
 
@@ -107,7 +107,14 @@ class GibbsRidgeRegression(Mechanism):
             residual = float(np.asarray(theta) @ np.asarray(x)) - float(y)
             return min(residual * residual, self.loss_ceiling)
 
-        grid = PredictorGrid(thetas, loss, loss_bounds=(0.0, self.loss_ceiling))
+        def loss_matrix(lattice, sample):
+            x, y = (np.array(column, dtype=float) for column in zip(*sample))
+            residual = pairwise_dot(x, lattice) - y[:, None]
+            return np.minimum(residual * residual, self.loss_ceiling)
+
+        grid = PredictorGrid(
+            thetas, GridLoss(loss, loss_matrix), loss_bounds=(0.0, self.loss_ceiling)
+        )
         self.estimator = GibbsEstimator.from_privacy(
             grid, epsilon, sample_size
         )

@@ -73,8 +73,18 @@ class TestPosterior:
     def test_density_normalized(self, data):
         model = TruncatedBetaBernoulliPosterior(epsilon=2.0, truncation=0.1)
         thetas = np.linspace(0.1, 0.9, 100_001)
-        densities = np.array([model.posterior_density(data, t) for t in thetas])
+        densities = model.posterior_density(data, thetas)
         assert np.trapezoid(densities, thetas) == pytest.approx(1.0, abs=1e-3)
+
+    def test_density_array_matches_scalar(self, data):
+        model = TruncatedBetaBernoulliPosterior(epsilon=2.0, truncation=0.1)
+        thetas = np.array([0.0, 0.05, 0.1, 0.37, 0.5, 0.9, 0.95, 1.0])
+        densities = model.posterior_density(data, thetas)
+        scalars = [model.posterior_density(data, t) for t in thetas]
+        assert all(isinstance(value, float) for value in scalars)
+        np.testing.assert_array_equal(densities, scalars)
+        assert densities[[0, 1, 6, 7]].tolist() == [0.0] * 4
+        assert np.all(densities[2:6] > 0)
 
     def test_density_zero_outside_truncation(self, data):
         model = TruncatedBetaBernoulliPosterior(epsilon=2.0, truncation=0.1)

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.learning import (
     BernoulliTask,
+    GridLoss,
     PredictorGrid,
     empirical_risk,
     empirical_risk_matrix,
@@ -84,3 +85,65 @@ class TestPredictorGrid:
     def test_loss_range(self):
         grid = PredictorGrid([0.0], absolute_loss, loss_bounds=(0.5, 2.5))
         assert grid.loss_range == pytest.approx(2.0)
+
+
+def _per_record(value):
+    return lambda theta, z: value
+
+
+def _kernel(value):
+    return GridLoss(
+        lambda theta, z: value,
+        lambda thetas, sample: np.full((len(sample), len(thetas)), value),
+    )
+
+
+@pytest.mark.parametrize("make", [_per_record, _kernel], ids=["per-record", "kernel"])
+class TestBoundsCheck:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_loss_rejected(self, make, value):
+        grid = PredictorGrid([0.0, 1.0], make(value))
+        with pytest.raises(ValidationError, match="bounds"):
+            grid.empirical_risks([0, 1])
+        with pytest.raises(ValidationError, match="bounds"):
+            grid.erm([0, 1])
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, float("inf")), (-float("inf"), 1.0), (0.0, float("nan"))]
+    )
+    def test_non_finite_bounds_rejected(self, make, bounds):
+        with pytest.raises(ValidationError, match="finite"):
+            PredictorGrid([0.0], make(0.5), loss_bounds=bounds)
+
+    def test_out_of_bounds_loss_rejected(self, make):
+        grid = PredictorGrid([0.0, 1.0], make(1.5))
+        with pytest.raises(ValidationError, match="bounds"):
+            grid.loss_matrix([0])
+
+
+class TestLossMatrix:
+    def test_plain_loss_stacks_losses_on_rows(self):
+        grid = PredictorGrid([0.0, 0.25, 1.0], absolute_loss)
+        sample = [0, 1, 1]
+        expected = np.array([grid.losses_on(z) for z in sample])
+        np.testing.assert_array_equal(grid.loss_matrix(sample), expected)
+
+    def test_kernel_is_used(self):
+        grid = PredictorGrid(
+            [0.0, 1.0],
+            GridLoss(absolute_loss, lambda thetas, sample: np.zeros((len(sample), 2))),
+        )
+        np.testing.assert_array_equal(grid.empirical_risks([0, 1, 1]), [0.0, 0.0])
+
+    def test_kernel_shape_checked(self):
+        grid = PredictorGrid(
+            [0.0, 1.0],
+            GridLoss(absolute_loss, lambda thetas, sample: np.zeros((len(sample), 3))),
+        )
+        with pytest.raises(ValidationError, match="shape"):
+            grid.loss_matrix([0, 1])
+
+    def test_rejects_empty_sample(self):
+        grid = PredictorGrid([0.0], BernoulliTask(0.5).loss)
+        with pytest.raises(ValidationError):
+            grid.loss_matrix([])
