@@ -50,38 +50,81 @@ class PrivacySpec:
         return f"({self.epsilon:.6g}, {self.delta:.3g})-DP"
 
 
-def _traced_release(release):
-    """Wrap a subclass ``release`` with the observability hook.
+def _record_release(tracer, mechanism, count):
+    """Record ``count`` releases of ``mechanism`` in the ledger and counter."""
+    spec = mechanism.privacy
+    name = type(mechanism).__name__
+    tracer.record(
+        MechanismReleaseEvent(
+            label=name,
+            epsilon=spec.epsilon,
+            delta=spec.delta,
+            mechanism=name,
+            count=count,
+        )
+    )
+    tracer.count("mechanism.releases", count)
 
-    The wrapper is transparent when tracing is disabled (one module-level
-    read and a ``None`` check before delegating, and the caller-provided
-    ``random_state`` flows through untouched, so RNG streams — and hence
-    outputs — are bit-identical with tracing on or off). When a tracer is
-    active it times the release in a span, appends a
-    :class:`~repro.observability.events.MechanismReleaseEvent` carrying
-    the mechanism's :class:`PrivacySpec`, and bumps the
-    ``mechanism.releases`` counter.
+
+def _recorded(mechanism, entry, count, kernel, /, *args, **kwargs):
+    """Run ``kernel(*args, **kwargs)`` as the release entry point ``entry``.
+
+    The one recorder behind ``release``, ``release_many`` and
+    ``privatize_many``. With no active tracer it only delegates, and
+    ``random_state`` flows through untouched, so outputs are
+    bit-identical with tracing on or off. With one, the kernel runs in an
+    ``<entry>:<Class>`` span and, if it returns, one event records
+    ``count`` releases (``None``: a single release, with no count on the
+    span). A kernel that raises records nothing here.
     """
+    tracer = _trace.current()
+    if tracer is None:
+        return kernel(*args, **kwargs)
+    name = type(mechanism).__name__
+    attributes = {"mechanism": name}
+    if count is not None:
+        attributes["count"] = count
+    with tracer.span(f"{entry}:{name}", **attributes):
+        result = kernel(*args, **kwargs)
+    _record_release(tracer, mechanism, 1 if count is None else count)
+    return result
+
+
+#: Spans of the entry points that account for partial batches.
+_BATCH_ENTRIES = ("release_many:", "privatize_many:")
+
+
+def _draw_loop(mechanism, draw, items):
+    """``[draw(item) for item in items]``, the looped batch kernel.
+
+    The draws are real releases made one at a time, so one that raises
+    leaves the earlier ones done — noise consumed, state mutated — while
+    the batch's event is never reached. Called directly under a batch
+    entry point, the loop records the k draws that completed before
+    re-raising: the ledger never under-counts a release that happened. A
+    single ``release`` that raises records nothing.
+    """
+    outputs = []
+    try:
+        for item in items:
+            outputs.append(draw(item))
+    except BaseException:
+        tracer = _trace.current()
+        span = tracer and tracer.active_span
+        if outputs and span and span.name.startswith(_BATCH_ENTRIES):
+            _record_release(tracer, mechanism, len(outputs))
+        raise
+    return outputs
+
+
+def _traced_release(release):
+    """Wrap a subclass ``release`` in the recorder (see :func:`_recorded`)."""
 
     @functools.wraps(release)
     def traced(self, *args, **kwargs):
-        tracer = _trace.current()
-        if tracer is None:
+        if _trace.current() is None:  # per-draw hot path: skip the recorder
             return release(self, *args, **kwargs)
-        mechanism = type(self).__name__
-        with tracer.span(f"release:{mechanism}", mechanism=mechanism):
-            result = release(self, *args, **kwargs)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-            )
-        )
-        tracer.count("mechanism.releases")
-        return result
+        return _recorded(self, "release", None, release, self, *args, **kwargs)
 
     traced._dp_traced = True
     return traced
@@ -175,26 +218,9 @@ class Mechanism(abc.ABC):
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
         rng = check_random_state(random_state)
-        tracer = _trace.current()
-        if tracer is None:
-            return self._release_many(dataset, n, rng)
-        mechanism = type(self).__name__
-        with tracer.span(
-            f"release_many:{mechanism}", mechanism=mechanism, count=n
-        ):
-            outputs = self._release_many(dataset, n, rng)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-                count=n,
-            )
+        return _recorded(
+            self, "release_many", n, self._release_many, dataset, n, rng
         )
-        tracer.count("mechanism.releases", n)
-        return outputs
 
     def _release_many(self, dataset, n, rng):
         """Batch kernel: ``n`` draws from one shared generator.
@@ -205,17 +231,8 @@ class Mechanism(abc.ABC):
         single aggregated event. Override with a numpy kernel that
         consumes the RNG stream exactly as the loop would.
 
-        Because the loop produces real releases one at a time, a draw
-        that raises mid-batch leaves the earlier draws *done* — noise
-        consumed, mechanism state mutated — while the aggregated event in
-        :meth:`release_many` is never reached. Serial traced ``release``
-        calls would each have recorded an event, so the looped fallback
-        under an active trace used to under-report ``count`` in
-        :func:`~repro.observability.events.ledger_totals` whenever a
-        batch failed part-way. The fallback therefore emits the same
-        aggregated event itself for the draws that completed before
-        re-raising: the ledger never under-counts a release that
-        actually happened.
+        A draw that raises mid-batch still ledgers the draws before it
+        (see :func:`_draw_loop`).
 
         Parameters
         ----------
@@ -228,27 +245,9 @@ class Mechanism(abc.ABC):
         """
         release = type(self).release
         release = getattr(release, "__wrapped__", release)
-        outputs = []
-        try:
-            for _ in range(n):
-                outputs.append(release(self, dataset, random_state=rng))
-        except BaseException:
-            tracer = _trace.current()
-            if tracer is not None and outputs:
-                spec = self.privacy
-                mechanism = type(self).__name__
-                tracer.record(
-                    MechanismReleaseEvent(
-                        label=mechanism,
-                        epsilon=spec.epsilon,
-                        delta=spec.delta,
-                        mechanism=mechanism,
-                        count=len(outputs),
-                    )
-                )
-                tracer.count("mechanism.releases", len(outputs))
-            raise
-        return outputs
+        return _draw_loop(
+            self, lambda _: release(self, dataset, random_state=rng), range(n)
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._privacy})"

@@ -29,9 +29,7 @@ import abc
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.mechanisms.base import Mechanism, PrivacySpec
-from repro.observability import tracer as _trace
-from repro.observability.events import MechanismReleaseEvent
+from repro.mechanisms.base import Mechanism, PrivacySpec, _draw_loop, _recorded
 from repro.utils.validation import check_positive, check_random_state
 
 
@@ -132,27 +130,9 @@ class LocalMechanism(Mechanism):
         """
         records = self._check_records(records)
         rng = check_random_state(random_state)
-        tracer = _trace.current()
-        if tracer is None:
-            return self._privatize_many(records, rng)
-        mechanism = type(self).__name__
-        count = len(records)
-        with tracer.span(
-            f"privatize_many:{mechanism}", mechanism=mechanism, count=count
-        ):
-            outputs = self._privatize_many(records, rng)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-                count=count,
-            )
+        return _recorded(
+            self, "privatize_many", len(records), self._privatize_many, records, rng
         )
-        tracer.count("mechanism.releases", count)
-        return outputs
 
     def _check_records(self, records):
         """Materialize and validate the batch before any RNG is consumed.
@@ -177,8 +157,8 @@ class LocalMechanism(Mechanism):
 
         Mirrors ``Mechanism._release_many``: if a record raises
         mid-batch, the records already privatized consumed their budget,
-        so the partial aggregated event is emitted before re-raising and
-        the ledger never under-counts.
+        so :meth:`privatize_many` still records them (see
+        :func:`~repro.mechanisms.base._draw_loop`).
 
         Parameters
         ----------
@@ -187,27 +167,9 @@ class LocalMechanism(Mechanism):
         rng:
             A ready :class:`numpy.random.Generator`.
         """
-        outputs = []
-        try:
-            for record in records:
-                outputs.append(self.privatize(record, random_state=rng))
-        except BaseException:
-            tracer = _trace.current()
-            if tracer is not None and outputs:
-                spec = self.privacy
-                mechanism = type(self).__name__
-                tracer.record(
-                    MechanismReleaseEvent(
-                        label=mechanism,
-                        epsilon=spec.epsilon,
-                        delta=spec.delta,
-                        mechanism=mechanism,
-                        count=len(outputs),
-                    )
-                )
-                tracer.count("mechanism.releases", len(outputs))
-            raise
-        return outputs
+        return _draw_loop(
+            self, lambda record: self.privatize(record, random_state=rng), records
+        )
 
     def release(self, dataset, random_state=None):
         """Privatize every record of ``dataset`` independently.

@@ -1,7 +1,11 @@
 """Unit tests for PrivacySpec and the Mechanism interface."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.exceptions import ValidationError
 from repro.mechanisms import Mechanism, PrivacySpec
 
@@ -56,3 +60,38 @@ class TestMechanism:
 
         with pytest.raises(ValidationError):
             Constant("1.0")
+
+
+class TestOneReleaseRecorder:
+    """Every release reaches the ledger through one recorder in
+    ``repro/mechanisms/base.py``; a copy of it anywhere else would drift."""
+
+    @staticmethod
+    def _files_calling(matches):
+        package = pathlib.Path(repro.__file__).parent
+        found = set()
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if any(isinstance(n, ast.Call) and matches(n) for n in ast.walk(tree)):
+                found.add(path.relative_to(package.parent).as_posix())
+        return found
+
+    def test_only_base_constructs_release_events(self):
+        def constructs_event(call):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            return name == "MechanismReleaseEvent"
+
+        assert self._files_calling(constructs_event) == {"repro/mechanisms/base.py"}
+
+    def test_only_base_bumps_the_release_counter(self):
+        def bumps_counter(call):
+            return (
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr == "count"
+                and bool(call.args)
+                and isinstance(call.args[0], ast.Constant)
+                and call.args[0].value == "mechanism.releases"
+            )
+
+        assert self._files_calling(bumps_counter) == {"repro/mechanisms/base.py"}

@@ -91,15 +91,19 @@ class TestAboveThreshold:
     def test_empirical_privacy_of_answer_pattern(self):
         """Sampled audit of the full answer vector on a neighbour pair:
         the measured loss stays within the ε budget (with sampling slack)."""
-        from repro.privacy import SampledPrivacyAuditor
+        from repro.testing.audit import estimate_epsilon_lower_bound
 
         epsilon = 0.4
         queries = [lambda d: float(sum(d))] * 3
+        rng = np.random.default_rng(2)
 
-        def release(dataset, random_state=None):
+        def answers(dataset):
             sv = SparseVector(threshold=1.5, sensitivity=1.0, epsilon=epsilon)
-            return tuple(sv.release((list(dataset), queries), random_state=random_state))
+            return tuple(sv.release((list(dataset), queries), random_state=rng))
 
-        auditor = SampledPrivacyAuditor(release, n_samples=30_000)
-        report = auditor.audit_pair([1, 1], [1, 0], random_state=2)
-        assert report.measured_epsilon <= epsilon + 0.1
+        estimate = estimate_epsilon_lower_bound(
+            [answers([1, 1]) for _ in range(30_000)],
+            [answers([1, 0]) for _ in range(30_000)],
+        )
+        assert estimate["epsilon_lower_bound"] <= epsilon
+        assert estimate["point_estimate"] <= epsilon + 0.1

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from repro.distributions import DiscreteDistribution
-from repro.mechanisms import ExponentialMechanism, RandomizedResponse
+from repro.exceptions import ValidationError
+from repro.mechanisms import (
+    ExponentialMechanism,
+    Mechanism,
+    PrivacySpec,
+    RandomizedResponse,
+)
 from repro.privacy import (
     ExactPrivacyAuditor,
-    SampledPrivacyAuditor,
     all_neighbour_pairs,
     is_neighbour,
     satisfies_approximate_dp,
     satisfies_pure_dp,
 )
+from repro.testing import NeighborPair, audit_mechanism
+from repro.testing.audit import estimate_epsilon_lower_bound
 
 
 class TestNeighbourRelation:
@@ -74,7 +81,6 @@ class TestExactAuditor:
 
         auditor = ExactPrivacyAuditor(output_law)
         report = auditor.audit([0, 1], n=1, claimed_epsilon=epsilon)
-        assert report.exact
         assert report.satisfied
         assert report.measured_epsilon == pytest.approx(epsilon)
 
@@ -123,38 +129,43 @@ class TestExactAuditor:
 
 
 class TestSampledAuditor:
+    """Black-box audits go through the certified Clopper–Pearson auditor
+    in :mod:`repro.testing.audit`."""
+
     def test_estimates_rr_epsilon(self):
         epsilon = 1.0
         rr = RandomizedResponse(epsilon=epsilon)
-
-        def release(dataset, random_state=None):
-            return rr.randomize_bit(dataset[0], random_state=random_state)
-
-        auditor = SampledPrivacyAuditor(release, n_samples=100_000)
-        report = auditor.audit_pair([0], [1], random_state=0)
-        assert not report.exact
-        assert report.measured_epsilon == pytest.approx(epsilon, abs=0.05)
+        rng = np.random.default_rng(0)
+        outputs_a = [rr.randomize_bit(0, random_state=rng) for _ in range(100_000)]
+        outputs_b = [rr.randomize_bit(1, random_state=rng) for _ in range(100_000)]
+        estimate = estimate_epsilon_lower_bound(outputs_a, outputs_b)
+        # Sound (never above the true ε) and tight on a sharp mechanism.
+        assert epsilon - 0.1 <= estimate["epsilon_lower_bound"] <= epsilon
+        assert estimate["point_estimate"] == pytest.approx(epsilon, abs=0.05)
 
     def test_flags_gross_violation(self):
-        def release(dataset, random_state=None):
-            # Nearly deterministic leak of the record.
-            rng = np.random.default_rng(
-                random_state.integers(2**31)
-                if isinstance(random_state, np.random.Generator)
-                else random_state
-            )
-            return dataset[0] if rng.uniform() < 0.999 else 1 - dataset[0]
+        class Leaky(Mechanism):
+            """Claims 1-DP but reveals the record with probability 0.999."""
 
-        auditor = SampledPrivacyAuditor(release, n_samples=50_000)
-        report = auditor.audit_pair([0], [1], claimed_epsilon=1.0, random_state=1)
+            def __init__(self):
+                super().__init__(PrivacySpec(epsilon=1.0))
+
+            def release(self, dataset, random_state=None):
+                rng = np.random.default_rng(random_state)
+                return dataset[0] if rng.uniform() < 0.999 else 1 - dataset[0]
+
+        report = audit_mechanism(
+            Leaky(), NeighborPair((0,), (1,)), n_samples=50_000, random_state=1
+        )
         assert not report.satisfied
+        assert report.epsilon_lower_bound > 1.0
 
     def test_rejects_bad_parameters(self):
-        from repro.exceptions import ValidationError
-
+        rr = RandomizedResponse(epsilon=1.0)
+        pair = NeighborPair((0,), (1,))
         with pytest.raises(ValidationError):
-            SampledPrivacyAuditor(lambda d, random_state=None: 0, n_samples=0)
+            audit_mechanism(rr, pair, n_samples=0)
         with pytest.raises(ValidationError):
-            SampledPrivacyAuditor(
-                lambda d, random_state=None: 0, smoothing=0.0
-            )
+            audit_mechanism(rr, pair, epsilon=0.0)
+        with pytest.raises(ValidationError):
+            estimate_epsilon_lower_bound([0, 1], [1, 0])
