@@ -38,16 +38,18 @@ EPSILONS = [0.1, 0.5, 2.0, 10.0, 50.0]
 SEEDS = 8
 
 
-def bench_case(epsilon, seeds=2, seed=0):
-    """Engine entry point: regression MSE + density TV at one ε."""
+def regression_data():
     task = LinearRegressionTask([0.8, -0.5], noise=0.1)
     x, y = task.sample(600, random_state=0)
-    y = np.clip(y, -1, 1)
     x_test, y_test = task.sample(3_000, random_state=99)
-    y_test = np.clip(y_test, -1, 1)
+    return (x, np.clip(y, -1, 1)), (x_test, np.clip(y_test, -1, 1))
+
+
+def regression_mse(train, test, epsilon, seeds, seed=0):
+    """Mean test MSE of the Gibbs lattice and sufficient-statistics ridge."""
+    (x, y), (x_test, y_test) = train, test
     gibbs_mse, stats_mse = [], []
-    for offset in range(seeds):
-        fit_seed = seed + offset
+    for fit_seed in range(seed, seed + seeds):
         gibbs = GibbsRidgeRegression(
             2, epsilon, len(y), radius=1.5, points_per_axis=7
         ).fit(x, y, random_state=fit_seed)
@@ -56,28 +58,43 @@ def bench_case(epsilon, seeds=2, seed=0):
         ).fit(x, y, random_state=fit_seed)
         gibbs_mse.append(gibbs.mean_squared_error(x_test, y_test))
         stats_mse.append(stats.mean_squared_error(x_test, y_test))
+    return {
+        "regression_gibbs_mse": float(np.mean(gibbs_mse)),
+        "regression_stats_mse": float(np.mean(stats_mse)),
+    }
 
-    rng = np.random.default_rng(1)
-    data = rng.beta(8.0, 2.0, size=900)
+
+def density_data():
+    data = np.random.default_rng(1).beta(8.0, 2.0, size=900)
     truth = discretize_density(
         lambda v: v**7 * (1 - v) if 0 < v < 1 else 0.0, 16
     )
+    return data, truth
+
+
+def density_tv(data, truth, epsilon, seeds, seed=0):
+    """Mean TV to the binned truth of the Gibbs family and the histogram."""
     gibbs_tv, hist_tv = [], []
-    for offset in range(seeds):
-        fit_seed = seed + offset
-        gibbs_density = GibbsDensityEstimator(epsilon, len(data), bins=16).fit(
+    for fit_seed in range(seed, seed + seeds):
+        gibbs = GibbsDensityEstimator(epsilon, len(data), bins=16).fit(
             data, random_state=fit_seed
         )
         hist = LaplaceHistogramDensity(epsilon, bins=16).fit(
             data, random_state=fit_seed
         )
-        gibbs_tv.append(gibbs_density.total_variation_to(truth))
+        gibbs_tv.append(gibbs.total_variation_to(truth))
         hist_tv.append(hist.total_variation_to(truth))
     return {
-        "regression_gibbs_mse": float(np.mean(gibbs_mse)),
-        "regression_stats_mse": float(np.mean(stats_mse)),
         "density_gibbs_tv": float(np.mean(gibbs_tv)),
         "density_histogram_tv": float(np.mean(hist_tv)),
+    }
+
+
+def bench_case(epsilon, seeds=2, seed=0):
+    """Engine entry point: regression MSE + density TV at one ε."""
+    return {
+        **regression_mse(*regression_data(), epsilon, seeds, seed),
+        **density_tv(*density_data(), epsilon, seeds, seed),
     }
 
 
@@ -90,38 +107,18 @@ BENCH_SPEC = {
 
 
 def test_e10_private_regression(benchmark):
-    task = LinearRegressionTask([0.8, -0.5], noise=0.1)
-    x, y = task.sample(600, random_state=0)
-    y = np.clip(y, -1, 1)
-    x_test, y_test = task.sample(3_000, random_state=99)
-    y_test = np.clip(y_test, -1, 1)
+    train, test = regression_data()
+    nonprivate = RidgeRegressionModel(regularization=0.01).fit(*train)
+    floor = nonprivate.mean_squared_error(*test)
 
-    nonprivate = RidgeRegressionModel(regularization=0.01).fit(x, y)
-    floor = nonprivate.mean_squared_error(x_test, y_test)
-
-    def run():
-        rows = []
-        for eps in EPSILONS:
-            gibbs_mse, stats_mse = [], []
-            for seed in range(SEEDS):
-                gibbs = GibbsRidgeRegression(
-                    2, eps, len(y), radius=1.5, points_per_axis=7
-                ).fit(x, y, random_state=seed)
-                stats = SufficientStatisticsRidge(
-                    2, eps, regularization=0.01
-                ).fit(x, y, random_state=seed)
-                gibbs_mse.append(gibbs.mean_squared_error(x_test, y_test))
-                stats_mse.append(stats.mean_squared_error(x_test, y_test))
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "gibbs": float(np.mean(gibbs_mse)),
-                    "stats": float(np.mean(stats_mse)),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **regression_mse(train, test, eps, SEEDS)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E10a / future work (§5)",
@@ -131,51 +128,32 @@ def test_e10_private_regression(benchmark):
         ["epsilon", "Gibbs lattice MSE", "suff-stats MSE", "non-private MSE"],
         title=f"n=600, d=2, {SEEDS} seeds",
     )
+    gibbs, stats = "regression_gibbs_mse", "regression_stats_mse"
     for row in rows:
-        table.add_row(row["epsilon"], row["gibbs"], row["stats"], floor)
+        table.add_row(row["epsilon"], row[gibbs], row[stats], floor)
     print(table)
 
     # Both improve with ε overall.
-    for key in ("gibbs", "stats"):
+    for key in (gibbs, stats):
         values = [r[key] for r in rows]
         assert values[-1] <= values[0] + 1e-9
     # At the largest ε both are close to the floor (Gibbs pays its lattice).
-    assert rows[-1]["stats"] <= floor * 1.2 + 0.01
-    assert rows[-1]["gibbs"] <= floor + 0.05
+    assert rows[-1][stats] <= floor * 1.2 + 0.01
+    assert rows[-1][gibbs] <= floor + 0.05
     # Crossover: Gibbs is the more robust of the two at the smallest ε.
-    assert rows[0]["gibbs"] <= rows[0]["stats"]
+    assert rows[0][gibbs] <= rows[0][stats]
 
 
 def test_e10_private_density(benchmark):
-    rng = np.random.default_rng(1)
-    data = rng.beta(8.0, 2.0, size=900)
-    truth = discretize_density(
-        lambda x: x**7 * (1 - x) if 0 < x < 1 else 0.0, 16
+    data, truth = density_data()
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **density_tv(data, truth, eps, SEEDS)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
     )
-
-    def run():
-        rows = []
-        for eps in EPSILONS:
-            gibbs_tv, hist_tv = [], []
-            for seed in range(SEEDS):
-                gibbs = GibbsDensityEstimator(eps, len(data), bins=16).fit(
-                    data, random_state=seed
-                )
-                hist = LaplaceHistogramDensity(eps, bins=16).fit(
-                    data, random_state=seed
-                )
-                gibbs_tv.append(gibbs.total_variation_to(truth))
-                hist_tv.append(hist.total_variation_to(truth))
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "gibbs": float(np.mean(gibbs_tv)),
-                    "histogram": float(np.mean(hist_tv)),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_header(
         "E10b / future work (§5)",
@@ -185,19 +163,20 @@ def test_e10_private_density(benchmark):
         ["epsilon", "Gibbs family TV", "Laplace histogram TV"],
         title=f"n=900, 16 bins, {SEEDS} seeds",
     )
+    gibbs, histogram = "density_gibbs_tv", "density_histogram_tv"
     for row in rows:
-        table.add_row(row["epsilon"], row["gibbs"], row["histogram"])
+        table.add_row(row["epsilon"], row[gibbs], row[histogram])
     print(table)
 
-    for key in ("gibbs", "histogram"):
+    for key in (gibbs, histogram):
         values = [r[key] for r in rows]
         assert values[-1] <= values[0] + 1e-9
     # Small ε: the renormalized histogram degrades gracefully while the
     # Gibbs posterior is still near-uniform over shapes.
-    assert rows[0]["histogram"] <= rows[0]["gibbs"]
+    assert rows[0][histogram] <= rows[0][gibbs]
     # Large ε: the Gibbs family's inductive bias beats the histogram's
     # sampling-noise floor.
-    assert rows[-1]["gibbs"] <= rows[-1]["histogram"]
+    assert rows[-1][gibbs] <= rows[-1][histogram]
 
 
 def test_e10_gibbs_regression_fit_speed(benchmark):

@@ -75,7 +75,7 @@ BENCH_SPEC = {
 
 def test_e12_attack_advantage_vs_epsilon(benchmark):
     rows = benchmark.pedantic(
-        lambda: [(eps, worst_pair_laws(eps)) for eps in EPSILONS],
+        lambda: [(eps, bench_case(eps)) for eps in EPSILONS],
         rounds=1,
         iterations=1,
     )
@@ -89,21 +89,17 @@ def test_e12_attack_advantage_vs_epsilon(benchmark):
         title="worst neighbour pair, Gibbs estimator, n=2, |Θ|=5",
     )
     advantages = []
-    for eps, (advantage, p, q) in rows:
-        rr = RandomizedResponse(eps)
-        t = rr.truth_probability
-        rr_adv = membership_advantage(
-            DiscreteDistribution([0, 1], [t, 1 - t]),
-            DiscreteDistribution([0, 1], [1 - t, t]),
-        )
-        cap = dp_advantage_bound(eps)
+    for eps, row in rows:
+        advantage = row["attack_advantage"]
+        rr_adv = row["randomized_response_advantage"]
+        cap = row["dp_advantage_cap"]
         table.add_row(eps, advantage, cap, rr_adv)
         advantages.append(advantage)
         # The Gibbs attack stays strictly under the cap; RR attains it.
         assert advantage < cap
         assert rr_adv == pytest.approx(cap, abs=1e-12)
         # And the full ROC respects the DP tradeoff bound.
-        assert verify_tradeoff_dominance(p, q, eps)
+        assert row["tradeoff_dominates"]
     print(table)
 
     # More ε, more attack surface.

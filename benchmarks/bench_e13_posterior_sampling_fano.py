@@ -37,39 +37,55 @@ N = 400
 SEEDS = 400
 
 
-def bench_case(epsilon, draws=100, seed=1, fano_n=3):
-    """Engine entry point: sampling error + Fano floors at one ε."""
-    task = BernoulliTask(p=TRUE_P)
-    data = task.sample(N, random_state=0)
+def sampling_instance():
+    data = BernoulliTask(p=TRUE_P).sample(N, random_state=0)
+    # Squared loss so the grid Gibbs estimates the bias p itself (the
+    # absolute loss would target the majority label instead).
     grid = PredictorGrid.linspace(
         lambda theta, z: (theta - z) ** 2, 0.0, 1.0, 21
     )
-    rng = np.random.default_rng(seed)
+    return data, grid
+
+
+def sampling_mse(data, grid, epsilon, draws, rng):
+    """MSE around p of posterior-sampling and grid-Gibbs releases, both
+    batched from ``rng``."""
     sampler = TruncatedBetaBernoulliPosterior(epsilon=epsilon, truncation=0.05)
     bayes_draws = np.asarray(
         sampler.release_many(data, draws, random_state=rng), dtype=float
     )
     gibbs = GibbsEstimator.from_privacy(grid, epsilon, N)
-    # Batched draws from the (dataset-fixed) Gibbs posterior.
     gibbs_draws = np.asarray(
         gibbs.release_many(list(data), draws, random_state=rng), dtype=float
     )
-
-    fano_task = BernoulliTask(p=0.5)
-    fano_grid = PredictorGrid.linspace(fano_task.loss, 0.0, 1.0, 5)
-    law = DiscreteDistribution([0, 1], [0.5, 0.5])
-    estimator = GibbsEstimator.from_privacy(fano_grid, epsilon, fano_n)
-    channel = LearningChannel(law, fano_n, estimator.gibbs.posterior)
-    report = verify_fano(channel.channel, channel.sample_law)
     return {
         "bayes_mse": float(((bayes_draws - TRUE_P) ** 2).mean()),
         "gibbs_mse": float(((gibbs_draws - TRUE_P) ** 2).mean()),
+    }
+
+
+def fano_floors(epsilon, n):
+    """Bayes identification error vs the exact and DP-chain Fano floors."""
+    task = BernoulliTask(p=0.5)  # uniform secret: Fano at full strength
+    grid = PredictorGrid.linspace(task.loss, 0.0, 1.0, 5)
+    law = DiscreteDistribution([0, 1], [0.5, 0.5])
+    estimator = GibbsEstimator.from_privacy(grid, epsilon, n)
+    channel = LearningChannel(law, n, estimator.gibbs.posterior)
+    report = verify_fano(channel.channel, channel.sample_law)
+    return {
         "bayes_error": float(report["bayes_error"]),
         "fano_exact": float(report["fano_bound"]),
-        "fano_chain": float(
-            dp_identification_lower_bound(epsilon, fano_n, 2**fano_n)
-        ),
+        "fano_chain": float(dp_identification_lower_bound(epsilon, n, 2**n)),
         "fano_holds": bool(report["holds"]),
+    }
+
+
+def bench_case(epsilon, draws=100, seed=1, fano_n=3):
+    """Engine entry point: sampling error + Fano floors at one ε."""
+    rng = np.random.default_rng(seed)
+    return {
+        **sampling_mse(*sampling_instance(), epsilon, draws, rng),
+        **fano_floors(epsilon, fano_n),
     }
 
 
@@ -82,40 +98,17 @@ BENCH_SPEC = {
 
 
 def test_e13_posterior_sampling_error(benchmark):
-    task = BernoulliTask(p=TRUE_P)
-    data = task.sample(N, random_state=0)
-    # Squared loss so the grid Gibbs estimates the bias p itself (the
-    # absolute loss would target the majority label instead).
-    grid = PredictorGrid.linspace(
-        lambda theta, z: (theta - z) ** 2, 0.0, 1.0, 21
+    data, grid = sampling_instance()
+    # One stream shared across the ε sweep.
+    rng = np.random.default_rng(1)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **sampling_mse(data, grid, eps, SEEDS, rng)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
     )
-
-    def run():
-        rows = []
-        rng = np.random.default_rng(1)
-        for eps in EPSILONS:
-            sampler = TruncatedBetaBernoulliPosterior(
-                epsilon=eps, truncation=0.05
-            )
-            bayes_draws = np.asarray(
-                sampler.release_many(data, SEEDS, random_state=rng),
-                dtype=float,
-            )
-            gibbs = GibbsEstimator.from_privacy(grid, eps, N)
-            gibbs_draws = np.asarray(
-                gibbs.release_many(list(data), SEEDS, random_state=rng),
-                dtype=float,
-            )
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "bayes_mse": float(((bayes_draws - TRUE_P) ** 2).mean()),
-                    "gibbs_mse": float(((gibbs_draws - TRUE_P) ** 2).mean()),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_header(
         "E13a / extension",
@@ -138,29 +131,11 @@ def test_e13_posterior_sampling_error(benchmark):
 
 
 def test_e13_fano_floor(benchmark):
-    task = BernoulliTask(p=0.5)  # uniform secret: Fano at full strength
-    grid = PredictorGrid.linspace(task.loss, 0.0, 1.0, 5)
-    law = DiscreteDistribution([0, 1], [0.5, 0.5])
-    n = 3
-
-    def run():
-        rows = []
-        for eps in EPSILONS:
-            estimator = GibbsEstimator.from_privacy(grid, eps, n)
-            channel = LearningChannel(law, n, estimator.gibbs.posterior)
-            report = verify_fano(channel.channel, channel.sample_law)
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "bayes_error": report["bayes_error"],
-                    "fano_exact": report["fano_bound"],
-                    "fano_chain": dp_identification_lower_bound(eps, n, 2**n),
-                    "holds": report["holds"],
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [{"epsilon": eps, **fano_floors(eps, 3)} for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E13b / extension",
@@ -181,7 +156,7 @@ def test_e13_fano_floor(benchmark):
             row["fano_exact"],
             row["fano_chain"],
         )
-        assert row["holds"]
+        assert row["fano_holds"]
         assert row["bayes_error"] >= row["fano_chain"] - 1e-12
         assert row["fano_chain"] <= row["fano_exact"] + 1e-12
     print(table)

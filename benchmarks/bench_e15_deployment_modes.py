@@ -62,29 +62,42 @@ def frequency_errors(epsilon: float, seed: int, n_users: int = N_USERS) -> dict:
     }
 
 
-def bench_case(epsilon, n_users=4000, seed=17, horizon=256, repeats=5):
-    """Engine entry point: local-vs-central errors + continual counting."""
-    frequencies = frequency_errors(epsilon, seed=seed, n_users=n_users)
-
-    rng = np.random.default_rng(seed + 6)
+def counting_errors(horizon, epsilon, repeats, rng):
+    """RMS prefix error of the tree and naive mechanisms on one random
+    stream, with their closed-form per-step noise."""
     stream = (rng.uniform(size=horizon) < 0.3).astype(float)
     truth = np.cumsum(stream)
     tree = TreeAggregator(horizon=horizon, epsilon=epsilon)
     naive = NaivePrefixRelease(horizon=horizon, epsilon=epsilon)
-    # Batched repeats via release_many (base fallback for these stream
-    # mechanisms — same draws, one aggregated ledger event when traced).
-    tree_runs = np.asarray(tree.release_many(stream, repeats, random_state=rng))
-    tree_rms = np.sqrt(np.mean((tree_runs - truth) ** 2))
-    naive_runs = np.asarray(
-        naive.release_many(stream, repeats, random_state=rng)
+    # Batched draws: each release_many row is one full prefix trajectory,
+    # so the grand mean over the (repeats, horizon) array equals the mean
+    # of per-draw MSEs.
+    tree_runs = np.asarray(
+        tree.release_many(stream, repeats, random_state=rng), dtype=float
     )
-    naive_rms = np.sqrt(np.mean((naive_runs - truth) ** 2))
+    naive_runs = np.asarray(
+        naive.release_many(stream, repeats, random_state=rng), dtype=float
+    )
+    return {
+        "tree_rms": float(np.sqrt(np.mean((tree_runs - truth) ** 2))),
+        "naive_rms": float(np.sqrt(np.mean((naive_runs - truth) ** 2))),
+        "tree_theory": tree.per_step_noise_std(),
+        "naive_theory": naive.per_step_noise_std(),
+    }
+
+
+def bench_case(epsilon, n_users=4000, seed=17, horizon=256, repeats=5):
+    """Engine entry point: local-vs-central errors + continual counting."""
+    frequencies = frequency_errors(epsilon, seed=seed, n_users=n_users)
+    counting = counting_errors(
+        horizon, epsilon, repeats, np.random.default_rng(seed + 6)
+    )
     return {
         "central_l1": float(frequencies["central"]),
         "krr_l1": float(frequencies["krr"]),
         "unary_l1": float(frequencies["unary"]),
-        "tree_rms": float(tree_rms),
-        "naive_rms": float(naive_rms),
+        "tree_rms": counting["tree_rms"],
+        "naive_rms": counting["naive_rms"],
     }
 
 
@@ -128,38 +141,16 @@ def test_e15_local_vs_central(benchmark):
 
 def test_e15_continual_counting(benchmark):
     epsilon = 1.0
-
-    def run():
-        rows = []
-        rng = np.random.default_rng(23)
-        for horizon in [64, 256, 1024, 4096]:
-            stream = (rng.uniform(size=horizon) < 0.3).astype(float)
-            truth = np.cumsum(stream)
-            tree = TreeAggregator(horizon=horizon, epsilon=epsilon)
-            naive = NaivePrefixRelease(horizon=horizon, epsilon=epsilon)
-            # Batched draws: each release_many row is one full prefix
-            # trajectory, so the grand mean over the (20, horizon) array
-            # equals the mean of per-draw MSEs.
-            tree_draws = np.asarray(
-                tree.release_many(stream, 20, random_state=rng), dtype=float
-            )
-            tree_rms = np.sqrt(np.mean((tree_draws - truth) ** 2))
-            naive_draws = np.asarray(
-                naive.release_many(stream, 20, random_state=rng), dtype=float
-            )
-            naive_rms = np.sqrt(np.mean((naive_draws - truth) ** 2))
-            rows.append(
-                {
-                    "horizon": horizon,
-                    "tree_rms": float(tree_rms),
-                    "naive_rms": float(naive_rms),
-                    "tree_theory": tree.per_step_noise_std(),
-                    "naive_theory": naive.per_step_noise_std(),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    # One stream shared across the horizon sweep.
+    rng = np.random.default_rng(23)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"horizon": horizon, **counting_errors(horizon, epsilon, 20, rng)}
+            for horizon in [64, 256, 1024, 4096]
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E15b / extension",

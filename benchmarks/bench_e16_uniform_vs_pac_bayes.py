@@ -27,25 +27,25 @@ from repro.learning import GaussianThresholdTask, PredictorGrid
 
 DELTA = 0.05
 SAMPLE_SIZES = [50, 200, 800, 3200]
+TASK = GaussianThresholdTask(mu=1.0, sigma=1.0)
 
 
 def build_instance(n: int, seed: int):
-    task = GaussianThresholdTask(mu=1.0, sigma=1.0)
-    x, y = task.sample(n, random_state=seed)
+    x, y = TASK.sample(n, random_state=seed)
     grid = PredictorGrid(
-        np.linspace(-2.0, 2.0, 41), task.record_loss, loss_bounds=(0.0, 1.0)
+        np.linspace(-2.0, 2.0, 41), TASK.record_loss, loss_bounds=(0.0, 1.0)
     )
-    return task, grid, list(zip(x, y))
+    return grid, list(zip(x, y))
 
 
 def bench_case(n, seed=None):
     """Engine entry point: one certificate-comparison row at sample size n."""
-    task, grid, sample = build_instance(n, seed=n if seed is None else seed)
+    grid, sample = build_instance(n, seed=n if seed is None else seed)
     out = compare_uniform_vs_pac_bayes(grid, sample, vc_dimension=1, delta=DELTA)
     risks = grid.empirical_risks(sample)
     erm_theta = grid.thetas[int(np.argmin(risks))]
     return {
-        "erm_true_risk": float(task.true_risk(erm_theta)),
+        "erm_true_risk": float(TASK.true_risk(erm_theta)),
         "occam": float(out["occam"]),
         "vc": float(out["vc"]),
         "catoni": float(out["catoni"]),
@@ -60,22 +60,11 @@ BENCH_SPEC = {
 
 
 def test_e16_certificate_comparison(benchmark):
-    def run():
-        rows = []
-        for n in SAMPLE_SIZES:
-            task, grid, sample = build_instance(n, seed=n)
-            out = compare_uniform_vs_pac_bayes(
-                grid, sample, vc_dimension=1, delta=DELTA
-            )
-            risks = grid.empirical_risks(sample)
-            erm_theta = grid.thetas[int(np.argmin(risks))]
-            out["n"] = n
-            out["erm_true_risk"] = task.true_risk(erm_theta)
-            out["bayes_risk"] = task.bayes_risk()
-            rows.append(out)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [{"n": n, **bench_case(n)} for n in SAMPLE_SIZES],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E16 / Section 3",
@@ -106,11 +95,11 @@ def test_e16_certificate_comparison(benchmark):
     # toward the Bayes risk as n grows.
     gaps = [row["vc"] - row["seeger"] for row in rows]
     assert all(gap > 0.02 for gap in gaps)
-    assert rows[-1]["seeger"] - rows[-1]["bayes_risk"] < 0.1
+    assert rows[-1]["seeger"] - TASK.bayes_risk() < 0.1
 
 
 def test_e16_comparison_speed(benchmark):
-    task, grid, sample = build_instance(200, seed=3)
+    grid, sample = build_instance(200, seed=3)
     out = benchmark(
         lambda: compare_uniform_vs_pac_bayes(grid, sample, vc_dimension=1)
     )

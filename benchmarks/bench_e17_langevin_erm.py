@@ -18,7 +18,7 @@ by the ≥5× acceptance bar of ISSUE 8.
 import numpy as np
 import pytest
 
-from benchmarks.common import print_header
+from benchmarks.common import mean_accuracy, print_header
 from repro.experiments import ResultTable
 from repro.learning import LogisticLoss, LogisticRegressionModel, TwoGaussiansTask
 from repro.learning.losses import TruncatedLoss
@@ -52,67 +52,45 @@ def _gibbs_loss():
     return TruncatedLoss(LogisticLoss(), ceiling=LOSS_CEILING)
 
 
-def accuracy_sweep():
-    task, (x, y), (x_test, y_test) = build_data()
-    nonprivate = LogisticRegressionModel(REGULARIZATION).fit(x, y)
-    baseline = nonprivate.accuracy(x_test, y_test)
+def learner_accuracies(train, test, epsilon, seeds, seed=0):
+    """Mean test accuracy of the three private learners at one ε."""
+    learners = {
+        "accuracy_output_perturbation": lambda: OutputPerturbationClassifier(
+            LogisticLoss(), REGULARIZATION, epsilon
+        ),
+        "accuracy_objective_perturbation": lambda: ObjectivePerturbationClassifier(
+            LogisticLoss(), REGULARIZATION, epsilon
+        ),
+        "accuracy_gibbs_erm": lambda: GibbsERMClassifier(
+            _gibbs_loss(), REGULARIZATION, epsilon
+        ),
+    }
+    return {
+        key: mean_accuracy(make, train, test, seeds, seed)
+        for key, make in learners.items()
+    }
 
-    rows = []
-    for eps in EPSILONS:
-        out_acc, obj_acc, gibbs_acc = [], [], []
-        for seed in range(SEEDS):
-            out = OutputPerturbationClassifier(
-                LogisticLoss(), REGULARIZATION, eps
-            ).fit(x, y, random_state=seed)
-            obj = ObjectivePerturbationClassifier(
-                LogisticLoss(), REGULARIZATION, eps
-            ).fit(x, y, random_state=seed)
-            gibbs = GibbsERMClassifier(_gibbs_loss(), REGULARIZATION, eps).fit(
-                x, y, random_state=seed
-            )
-            out_acc.append(out.accuracy(x_test, y_test))
-            obj_acc.append(obj.accuracy(x_test, y_test))
-            gibbs_acc.append(gibbs.accuracy(x_test, y_test))
-        rows.append(
-            {
-                "epsilon": eps,
-                "output": float(np.mean(out_acc)),
-                "objective": float(np.mean(obj_acc)),
-                "gibbs": float(np.mean(gibbs_acc)),
-            }
-        )
-    return baseline, rows
+
+def sample_chains(train, epsilon, chains, seed):
+    """``chains`` batched MALA samples of the regularized exponential
+    mechanism and the batch's acceptance rate."""
+    mechanism = RegularizedExponentialMechanism(
+        _gibbs_loss(), REGULARIZATION, epsilon
+    )
+    samples = mechanism.release_many(train, chains, random_state=seed)
+    return np.asarray(samples), mechanism.last_acceptance_rate
 
 
 def bench_case(epsilon, seeds=3, chains=64, seed=0):
     """Engine entry point: accuracy of the three learners plus batched
     sampler throughput at one ε."""
-    task, (x, y), (x_test, y_test) = build_data()
-    out_acc, obj_acc, gibbs_acc = [], [], []
-    for offset in range(seeds):
-        fit_seed = seed + offset
-        out = OutputPerturbationClassifier(
-            LogisticLoss(), REGULARIZATION, epsilon
-        ).fit(x, y, random_state=fit_seed)
-        obj = ObjectivePerturbationClassifier(
-            LogisticLoss(), REGULARIZATION, epsilon
-        ).fit(x, y, random_state=fit_seed)
-        gibbs = GibbsERMClassifier(_gibbs_loss(), REGULARIZATION, epsilon).fit(
-            x, y, random_state=fit_seed
-        )
-        out_acc.append(out.accuracy(x_test, y_test))
-        obj_acc.append(obj.accuracy(x_test, y_test))
-        gibbs_acc.append(gibbs.accuracy(x_test, y_test))
-    mechanism = RegularizedExponentialMechanism(
-        _gibbs_loss(), REGULARIZATION, epsilon
-    )
-    samples = mechanism.release_many((x, y), chains, random_state=seed)
+    _, train, test = build_data()
+    accuracies = learner_accuracies(train, test, epsilon, seeds, seed)
+    samples, acceptance_rate = sample_chains(train, epsilon, chains, seed)
     return {
-        "accuracy_output_perturbation": float(np.mean(out_acc)),
-        "accuracy_objective_perturbation": float(np.mean(obj_acc)),
-        "accuracy_gibbs_erm": float(np.mean(gibbs_acc)),
-        "sampler_acceptance_rate": float(mechanism.last_acceptance_rate),
-        "sampler_chains": int(np.asarray(samples).shape[0]),
+        **accuracies,
+        "sampler_acceptance_rate": float(acceptance_rate),
+        "sampler_chains": int(samples.shape[0]),
     }
 
 
@@ -125,7 +103,16 @@ BENCH_SPEC = {
 
 
 def test_e17_accuracy_vs_epsilon(benchmark):
-    baseline, rows = benchmark.pedantic(accuracy_sweep, rounds=1, iterations=1)
+    _, train, test = build_data()
+    baseline = LogisticRegressionModel(REGULARIZATION).fit(*train).accuracy(*test)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **learner_accuracies(train, test, eps, SEEDS)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E17 / regularized exponential mechanism",
@@ -135,24 +122,29 @@ def test_e17_accuracy_vs_epsilon(benchmark):
         ["epsilon", "output-pert", "objective-pert", "gibbs-erm (MALA)", "non-private"],
         title=f"test accuracy, two-Gaussian task in R^{DIMENSION}",
     )
+    output, objective, gibbs = (
+        "accuracy_output_perturbation",
+        "accuracy_objective_perturbation",
+        "accuracy_gibbs_erm",
+    )
     for row in rows:
         table.add_row(
-            row["epsilon"], row["output"], row["objective"], row["gibbs"], baseline
+            row["epsilon"], row[output], row[objective], row[gibbs], baseline
         )
     print(table)
 
     # The privacy/utility trade-off: every method improves with ε
     # (allowing Monte-Carlo slack) and lands near the baseline at ε = 10.
-    for key in ("output", "objective", "gibbs"):
+    for key in (output, objective, gibbs):
         values = [r[key] for r in rows]
         assert values[-1] >= values[0] - 0.02
     final = rows[-1]
-    assert final["gibbs"] >= baseline - 0.05
-    assert final["objective"] >= baseline - 0.05
+    assert final[gibbs] >= baseline - 0.05
+    assert final[objective] >= baseline - 0.05
     # Small-ε regime: the sampled mechanism's data-independent prior keeps
     # it at least competitive with output perturbation's noised optimum.
     small = rows[0]
-    assert small["gibbs"] >= small["output"] - 0.02
+    assert small[gibbs] >= small[output] - 0.02
 
 
 def test_e17_batched_chain_speedup(benchmark):
@@ -198,17 +190,13 @@ def test_e17_batched_chain_speedup(benchmark):
 def test_e17_acceptance_rate_stays_healthy(benchmark):
     """The auto step-size heuristic must keep MALA in a mixing regime
     across the ε grid (no silent degenerate all-reject/all-accept runs)."""
-    _, (x, y), _ = build_data()
+    _, train, _ = build_data()
 
     def run():
         rates = {}
         for eps in EPSILONS:
-            mechanism = RegularizedExponentialMechanism(
-                _gibbs_loss(), REGULARIZATION, eps
-            )
-            samples = mechanism.release_many((x, y), 32, random_state=1)
-            assert np.asarray(samples).shape == (32, DIMENSION)
-            rates[eps] = mechanism.last_acceptance_rate
+            samples, rates[eps] = sample_chains(train, eps, 32, 1)
+            assert samples.shape == (32, DIMENSION)
         return rates
 
     rates = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -27,7 +27,6 @@ from repro.local_privacy import (
     LInfSamplingMechanism,
     central_private_mean,
     dpi_report,
-    local_minimax_rate,
     locally_private_mean,
     nonprivate_rate,
 )
@@ -58,84 +57,42 @@ def sample_records(n, rng):
     return mean, mean + NOISE_RADIUS * radii * directions
 
 
-def mse_sweep(n=N_RECORDS, repeats=REPEATS, seed=0):
-    """Measured MSE of the four estimators at every ε on fresh datasets."""
-    rows = []
-    for eps in EPSILONS:
-        l2 = L2SamplingMechanism(DIMENSION, eps)
-        linf = LInfSamplingMechanism(DIMENSION, eps)
-        errors = {"nonprivate": [], "central": [], "local_l2": [], "local_linf": []}
-        for repeat in range(repeats):
-            rng = np.random.default_rng(seed * 10_000 + repeat)
-            mean, records = sample_records(n, rng)
-            estimates = {
-                "nonprivate": records.mean(axis=0),
-                "central": central_private_mean(records, eps, random_state=rng),
-                "local_l2": locally_private_mean(records, l2, random_state=rng),
-                "local_linf": locally_private_mean(records, linf, random_state=rng),
-            }
-            for key, estimate in estimates.items():
-                errors[key].append(float(((estimate - mean) ** 2).sum()))
-        row = {"epsilon": eps}
-        for key, values in errors.items():
-            row[f"mse_{key}"] = float(np.mean(values))
-        row["predicted_local_l2"] = l2.predicted_mean_squared_error(n)
-        row["rate_local"] = local_minimax_rate(DIMENSION, n, eps)
-        row["rate_nonprivate"] = nonprivate_rate(DIMENSION, n)
-        rows.append(row)
-    return rows
-
-
-def dpi_sweep():
-    """DJW Theorem-1 verdicts for the k-RR channel at every swept ε."""
-    rows = []
-    for eps in EPSILONS:
-        mechanism = KRandomizedResponse(DPI_CATEGORIES, eps)
-        report = dpi_report(mechanism.channel_matrix(), DPI_P, DPI_Q, eps)
-        report["epsilon"] = eps
-        rows.append(report)
-    return rows
-
-
-def bench_case(epsilon, n=N_RECORDS, repeats=4, seed=0):
-    """Engine entry point: rate gap + DPI verdicts at one ε."""
+def mean_squared_errors(epsilon, n, repeats, seed=0):
+    """Measured MSE of the four estimators at ε on fresh datasets, plus
+    the closed-form ℓ2 prediction."""
     l2 = L2SamplingMechanism(DIMENSION, epsilon)
     linf = LInfSamplingMechanism(DIMENSION, epsilon)
     errors = {"nonprivate": [], "central": [], "local_l2": [], "local_linf": []}
     for repeat in range(repeats):
         rng = np.random.default_rng(seed * 10_000 + repeat)
         mean, records = sample_records(n, rng)
-        errors["nonprivate"].append(
-            float(((records.mean(axis=0) - mean) ** 2).sum())
-        )
-        errors["central"].append(
-            float(
-                ((central_private_mean(records, epsilon, random_state=rng) - mean) ** 2).sum()
-            )
-        )
-        errors["local_l2"].append(
-            float(((locally_private_mean(records, l2, random_state=rng) - mean) ** 2).sum())
-        )
-        errors["local_linf"].append(
-            float(
-                ((locally_private_mean(records, linf, random_state=rng) - mean) ** 2).sum()
-            )
-        )
-    mse = {key: float(np.mean(values)) for key, values in errors.items()}
-    dpi = dpi_report(
-        KRandomizedResponse(DPI_CATEGORIES, epsilon).channel_matrix(),
-        DPI_P,
-        DPI_Q,
-        epsilon,
-    )
+        estimates = {
+            "nonprivate": records.mean(axis=0),
+            "central": central_private_mean(records, epsilon, random_state=rng),
+            "local_l2": locally_private_mean(records, l2, random_state=rng),
+            "local_linf": locally_private_mean(records, linf, random_state=rng),
+        }
+        for key, estimate in estimates.items():
+            errors[key].append(float(((estimate - mean) ** 2).sum()))
+    row = {f"mse_{key}": float(np.mean(values)) for key, values in errors.items()}
+    row["predicted_local_l2"] = l2.predicted_mean_squared_error(n)
+    return row
+
+
+def dpi_verdicts(epsilon):
+    """DJW Theorem-1 report for the k-RR channel at ε."""
+    mechanism = KRandomizedResponse(DPI_CATEGORIES, epsilon)
+    return dpi_report(mechanism.channel_matrix(), DPI_P, DPI_Q, epsilon)
+
+
+def bench_case(epsilon, n=N_RECORDS, repeats=4, seed=0):
+    """Engine entry point: rate gap + DPI verdicts at one ε."""
+    mse = mean_squared_errors(epsilon, n, repeats, seed)
+    dpi = dpi_verdicts(epsilon)
     return {
-        "mse_nonprivate": mse["nonprivate"],
-        "mse_central": mse["central"],
-        "mse_local_l2": mse["local_l2"],
-        "mse_local_linf": mse["local_linf"],
-        "predicted_local_l2": l2.predicted_mean_squared_error(n),
-        "degradation_vs_central": mse["local_l2"] / mse["central"],
-        "predicted_degradation": l2.predicted_mean_squared_error(n)
+        **mse,
+        "degradation_vs_central": mse["mse_local_l2"] / mse["mse_central"],
+        "predicted_degradation": mse["predicted_local_l2"]
         / nonprivate_rate(DIMENSION, n),
         "dpi_kl_contracts": float(dpi["kl_contracts"]),
         "dpi_tv_contracts": float(dpi["tv_contracts"]),
@@ -152,7 +109,14 @@ BENCH_SPEC = {
 
 
 def test_e18_minimax_rate_gap(benchmark):
-    rows = benchmark.pedantic(mse_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **mean_squared_errors(eps, N_RECORDS, REPEATS)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E18 / local-privacy minimax rates",
@@ -193,7 +157,11 @@ def test_e18_minimax_rate_gap(benchmark):
 
 
 def test_e18_dpi_holds_on_every_configuration(benchmark):
-    rows = benchmark.pedantic(dpi_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [{"epsilon": eps, **dpi_verdicts(eps)} for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     table = ResultTable(
         ["epsilon", "KL in", "KL out", "TV in", "TV out", "sym KL out", "DJW bound"],

@@ -18,7 +18,7 @@ truth as ε grows.
 
 import numpy as np
 
-from benchmarks.common import print_header
+from benchmarks.common import mean_accuracy, print_header
 from repro.experiments import ResultTable
 from repro.learning import LogisticLoss, LogisticRegressionModel, TwoGaussiansTask
 from repro.local_privacy import PrivateSGDClassifier, locally_private_median
@@ -41,77 +41,54 @@ def build_data(n_train=N_TRAIN):
     return (x_train, y_train), (x_test, y_test)
 
 
-def accuracy_sweep(seeds=SEEDS):
-    (x, y), (x_test, y_test) = build_data()
-    baseline = LogisticRegressionModel(REGULARIZATION).fit(x, y).accuracy(
-        x_test, y_test
+def local_sgd(epsilon):
+    return PrivateSGDClassifier(
+        LogisticLoss(), REGULARIZATION, epsilon, batch_size=BATCH_SIZE
     )
-    rows = []
-    for eps in EPSILONS:
-        central_acc, local_acc = [], []
-        for seed in range(seeds):
-            central = OutputPerturbationClassifier(
-                LogisticLoss(), REGULARIZATION, eps
-            ).fit(x, y, random_state=seed)
-            local = PrivateSGDClassifier(
-                LogisticLoss(), REGULARIZATION, eps, batch_size=BATCH_SIZE
-            ).fit(x, y, random_state=seed)
-            central_acc.append(central.accuracy(x_test, y_test))
-            local_acc.append(local.accuracy(x_test, y_test))
-        rows.append(
-            {
-                "epsilon": eps,
-                "central": float(np.mean(central_acc)),
-                "local": float(np.mean(local_acc)),
-            }
-        )
-    return baseline, rows
+
+
+def learner_accuracies(train, test, epsilon, seeds, seed=0):
+    """Mean test accuracy of central (output-perturbation) and local SGD."""
+    learners = {
+        "accuracy_central": lambda: OutputPerturbationClassifier(
+            LogisticLoss(), REGULARIZATION, epsilon
+        ),
+        "accuracy_local_sgd": lambda: local_sgd(epsilon),
+    }
+    return {
+        key: mean_accuracy(make, train, test, seeds, seed)
+        for key, make in learners.items()
+    }
+
+
+def median_error(epsilon, seed):
+    """|error| of the 1-bit private median on 3 000 uniform values."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-0.6, 0.8, size=3_000)
+    median = locally_private_median(values, epsilon, random_state=rng)
+    return float(abs(median - np.median(values)))
 
 
 def sample_complexity_sweep(epsilon=2.0, sizes=(250, 1_000, 4_000), seeds=SEEDS):
     """Local-SGD accuracy vs n at fixed ε (the n-axis of the rate)."""
-    _, (x_test, y_test) = build_data()
-    rows = []
-    for n in sizes:
-        (x, y), _ = build_data(n_train=n)
-        accs = [
-            PrivateSGDClassifier(
-                LogisticLoss(), REGULARIZATION, epsilon, batch_size=BATCH_SIZE
-            )
-            .fit(x, y, random_state=seed)
-            .accuracy(x_test, y_test)
-            for seed in range(seeds)
-        ]
-        rows.append({"n": n, "local": float(np.mean(accs))})
-    return rows
+    _, test = build_data()
+    return [
+        {
+            "n": n,
+            "local": mean_accuracy(
+                lambda: local_sgd(epsilon), build_data(n_train=n)[0], test, seeds
+            ),
+        }
+        for n in sizes
+    ]
 
 
 def bench_case(epsilon, seeds=2, seed=0):
     """Engine entry point: learner accuracies plus the median error at
     one ε."""
-    (x, y), (x_test, y_test) = build_data()
-    central_acc, local_acc = [], []
-    for offset in range(seeds):
-        fit_seed = seed + offset
-        central_acc.append(
-            OutputPerturbationClassifier(LogisticLoss(), REGULARIZATION, epsilon)
-            .fit(x, y, random_state=fit_seed)
-            .accuracy(x_test, y_test)
-        )
-        local_acc.append(
-            PrivateSGDClassifier(
-                LogisticLoss(), REGULARIZATION, epsilon, batch_size=BATCH_SIZE
-            )
-            .fit(x, y, random_state=fit_seed)
-            .accuracy(x_test, y_test)
-        )
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(-0.6, 0.8, size=3_000)
-    median = locally_private_median(values, epsilon, random_state=rng)
     return {
-        "accuracy_central": float(np.mean(central_acc)),
-        "accuracy_local_sgd": float(np.mean(local_acc)),
-        "median_absolute_error": float(abs(median - np.median(values))),
+        **learner_accuracies(*build_data(), epsilon, seeds, seed),
+        "median_absolute_error": median_error(epsilon, seed),
     }
 
 
@@ -124,7 +101,16 @@ BENCH_SPEC = {
 
 
 def test_e19_accuracy_vs_epsilon(benchmark):
-    baseline, rows = benchmark.pedantic(accuracy_sweep, rounds=1, iterations=1)
+    train, test = build_data()
+    baseline = LogisticRegressionModel(REGULARIZATION).fit(*train).accuracy(*test)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **learner_accuracies(train, test, eps, SEEDS)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E19 / locally-private SGD",
@@ -134,23 +120,24 @@ def test_e19_accuracy_vs_epsilon(benchmark):
         ["epsilon", "central (output-pert)", "local SGD", "non-private"],
         title=f"test accuracy, two-Gaussian task in R^{DIMENSION}",
     )
+    central, local = "accuracy_central", "accuracy_local_sgd"
     for row in rows:
-        table.add_row(row["epsilon"], row["central"], row["local"], baseline)
+        table.add_row(row["epsilon"], row[central], row[local], baseline)
     print(table)
 
     for row in rows:
         # Trust buys accuracy: the curator model dominates the local one
         # at every ε (small Monte-Carlo slack).
-        assert row["central"] >= row["local"] - 0.02, row
+        assert row[central] >= row[local] - 0.02, row
     # The local learner climbs steeply with ε (it starts deep in the
     # noise-dominated regime); central DP, already near the baseline at
     # ε=0.5 for this n, must merely not degrade.
-    local_values = [row["local"] for row in rows]
+    local_values = [row[local] for row in rows]
     assert local_values[-1] >= local_values[0] + 0.05, local_values
-    central_values = [row["central"] for row in rows]
+    central_values = [row[central] for row in rows]
     assert central_values[-1] >= central_values[0] - 0.005, central_values
-    assert rows[-1]["central"] >= baseline - 0.03
-    assert rows[-1]["local"] >= baseline - 0.12
+    assert rows[-1][central] >= baseline - 0.03
+    assert rows[-1][local] >= baseline - 0.12
 
 
 def test_e19_accuracy_vs_sample_size(benchmark):
@@ -171,16 +158,11 @@ def test_e19_accuracy_vs_sample_size(benchmark):
 def test_e19_private_median_converges(benchmark):
     """The 1-bit median protocol tightens around the truth as ε grows."""
 
-    def run():
-        errors = {}
-        for eps in EPSILONS:
-            rng = np.random.default_rng(3)
-            values = rng.uniform(-0.6, 0.8, size=3_000)
-            estimate = locally_private_median(values, eps, random_state=rng)
-            errors[eps] = float(abs(estimate - np.median(values)))
-        return errors
-
-    errors = benchmark.pedantic(run, rounds=1, iterations=1)
+    errors = benchmark.pedantic(
+        lambda: {eps: median_error(eps, 3) for eps in EPSILONS},
+        rounds=1,
+        iterations=1,
+    )
     table = ResultTable(["epsilon", "median |error|"])
     for eps, err in errors.items():
         table.add_row(eps, err)

@@ -49,15 +49,11 @@ BENCH_SPEC = {
 
 
 def test_e1_channel_information_curve(benchmark):
-    instance = bernoulli_instance(p=0.7, grid_size=5, n=2)
-
-    def run():
-        return [
-            (eps, build_channel(instance, eps).leakage_summary())
-            for eps in EPSILONS
-        ]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [(eps, bench_case(eps)) for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E1 / Figure 1",

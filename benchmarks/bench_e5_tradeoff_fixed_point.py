@@ -49,15 +49,11 @@ BENCH_SPEC = {
 
 
 def test_e5_fixed_point_sweep(benchmark):
-    instance = bernoulli_instance(p=0.7, grid_size=5, n=2)
-    source, risks = instance["source"], instance["risk_matrix"]
-
-    def run():
-        return [
-            (eps, minimize_tradeoff(source, risks, eps)) for eps in EPSILONS
-        ]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [(eps, bench_case(eps)) for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E5 / Theorem 4.2",
@@ -76,19 +72,20 @@ def test_e5_fixed_point_sweep(benchmark):
         title="alternating minimization from uniform init",
     )
     for eps, result in rows:
-        free_energy = rate_distortion_free_energy(source, risks, eps) / eps
         table.add_row(
             eps,
-            result.objective,
-            free_energy,
-            result.mutual_information,
-            result.expected_empirical_risk,
-            result.gibbs_deviation,
-            result.iterations,
+            result["objective"],
+            result["free_energy"],
+            result["mutual_information"],
+            result["expected_empirical_risk"],
+            result["gibbs_deviation"],
+            result["iterations"],
         )
-        assert result.converged
-        assert result.gibbs_deviation < 1e-6
-        assert result.objective == pytest.approx(free_energy, abs=1e-6)
+        assert result["converged"]
+        assert result["gibbs_deviation"] < 1e-6
+        assert result["objective"] == pytest.approx(
+            result["free_energy"], abs=1e-6
+        )
     print(table)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.common import bernoulli_instance, print_header
-from repro.core import GibbsEstimator, LearningChannel, tradeoff_curve
+from repro.core import GibbsEstimator, LearningChannel, minimize_tradeoff
 from repro.experiments import ResultTable, ascii_curve
 from repro.information import mutual_information_histogram
 
@@ -28,8 +28,6 @@ EPSILONS = [0.1, 1.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0]
 
 def bench_case(epsilon, p=0.75, grid_size=5, n=3):
     """Engine entry point: one frontier point of the optimal channel."""
-    from repro.core.tradeoff import minimize_tradeoff
-
     instance = bernoulli_instance(p=p, grid_size=grid_size, n=n)
     source, risks = instance["source"], instance["risk_matrix"]
     task, grid = instance["task"], instance["grid"]
@@ -52,32 +50,11 @@ BENCH_SPEC = {
 
 
 def test_e6_frontier(benchmark):
-    instance = bernoulli_instance(p=0.75, grid_size=5, n=3)
-    source, risks = instance["source"], instance["risk_matrix"]
-    task, grid = instance["task"], instance["grid"]
-    true_risks = np.array([task.true_risk(t) for t in grid.thetas])
-
-    def run():
-        points = tradeoff_curve(source, risks, EPSILONS)
-        rows = []
-        for eps, point in zip(EPSILONS, points):
-            # True risk of the optimal channel: integrate the channel.
-            from repro.core.tradeoff import minimize_tradeoff
-
-            result = minimize_tradeoff(source, risks, eps)
-            joint = source[:, None] * result.channel.matrix
-            true_risk = float((joint.sum(axis=0) * true_risks).sum())
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "information": point.mutual_information,
-                    "empirical_risk": point.expected_empirical_risk,
-                    "true_risk": true_risk,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [{"epsilon": eps, **bench_case(eps)} for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E6 / Section 4",
@@ -90,7 +67,7 @@ def test_e6_frontier(benchmark):
     for row in rows:
         table.add_row(
             row["epsilon"],
-            row["information"],
+            row["mutual_information"],
             row["empirical_risk"],
             row["true_risk"],
         )
@@ -105,12 +82,14 @@ def test_e6_frontier(benchmark):
         )
     )
 
-    infos = [r["information"] for r in rows]
+    infos = [r["mutual_information"] for r in rows]
     emp = [r["empirical_risk"] for r in rows]
     assert all(a <= b + 1e-10 for a, b in zip(infos, infos[1:]))
     assert all(a >= b - 1e-10 for a, b in zip(emp, emp[1:]))
     # Extremes: near-zero leakage at ε→0; near-ERM risk at ε→∞.
     assert infos[0] < 1e-4
+    instance = bernoulli_instance(p=0.75, grid_size=5, n=3)
+    source, risks = instance["source"], instance["risk_matrix"]
     erm_risk = float(source @ risks.min(axis=1))
     assert emp[-1] <= erm_risk + 0.05
 

@@ -12,10 +12,11 @@ moderate ε; the Gibbs learner pays a resolution-dependent floor that
 finer grids lift.
 """
 
-import numpy as np
+from functools import partial
+
 import pytest
 
-from benchmarks.common import print_header
+from benchmarks.common import mean_accuracy, print_header
 from repro.experiments import ResultTable
 from repro.learning import LogisticLoss, LogisticRegressionModel, TwoGaussiansTask
 from repro.private_learning import (
@@ -40,60 +41,23 @@ def build_data():
     return task, (x_train, y_train), (x_test, y_test)
 
 
-def accuracy_sweep():
-    task, (x, y), (x_test, y_test) = build_data()
-    nonprivate = LogisticRegressionModel(REGULARIZATION).fit(x, y)
-    baseline = nonprivate.accuracy(x_test, y_test)
-
-    rows = []
-    for eps in EPSILONS:
-        out_acc, obj_acc, gibbs_acc = [], [], []
-        for seed in range(SEEDS):
-            out = OutputPerturbationClassifier(
-                LogisticLoss(), REGULARIZATION, eps
-            ).fit(x, y, random_state=seed)
-            obj = ObjectivePerturbationClassifier(
-                LogisticLoss(), REGULARIZATION, eps
-            ).fit(x, y, random_state=seed)
-            gibbs = ExponentialMechanismLearner(
-                2, eps, N_TRAIN, resolution=64
-            ).fit(x, y, random_state=seed)
-            out_acc.append(out.accuracy(x_test, y_test))
-            obj_acc.append(obj.accuracy(x_test, y_test))
-            gibbs_acc.append(gibbs.accuracy(x_test, y_test))
-        rows.append(
-            {
-                "epsilon": eps,
-                "output": float(np.mean(out_acc)),
-                "objective": float(np.mean(obj_acc)),
-                "gibbs": float(np.mean(gibbs_acc)),
-            }
-        )
-    return baseline, rows
-
-
 def bench_case(epsilon, seeds=3, resolution=32, seed=0):
     """Engine entry point: mean private-classifier accuracy at one ε."""
-    task, (x, y), (x_test, y_test) = build_data()
-    out_acc, obj_acc, gibbs_acc = [], [], []
-    for offset in range(seeds):
-        fit_seed = seed + offset
-        out = OutputPerturbationClassifier(
+    _, train, test = build_data()
+    learners = {
+        "accuracy_output_perturbation": lambda: OutputPerturbationClassifier(
             LogisticLoss(), REGULARIZATION, epsilon
-        ).fit(x, y, random_state=fit_seed)
-        obj = ObjectivePerturbationClassifier(
+        ),
+        "accuracy_objective_perturbation": lambda: ObjectivePerturbationClassifier(
             LogisticLoss(), REGULARIZATION, epsilon
-        ).fit(x, y, random_state=fit_seed)
-        gibbs = ExponentialMechanismLearner(
+        ),
+        "accuracy_gibbs": lambda: ExponentialMechanismLearner(
             2, epsilon, N_TRAIN, resolution=resolution
-        ).fit(x, y, random_state=fit_seed)
-        out_acc.append(out.accuracy(x_test, y_test))
-        obj_acc.append(obj.accuracy(x_test, y_test))
-        gibbs_acc.append(gibbs.accuracy(x_test, y_test))
+        ),
+    }
     return {
-        "accuracy_output_perturbation": float(np.mean(out_acc)),
-        "accuracy_objective_perturbation": float(np.mean(obj_acc)),
-        "accuracy_gibbs": float(np.mean(gibbs_acc)),
+        key: mean_accuracy(make, train, test, seeds, seed)
+        for key, make in learners.items()
     }
 
 
@@ -106,7 +70,16 @@ BENCH_SPEC = {
 
 
 def test_e7_accuracy_vs_epsilon(benchmark):
-    baseline, rows = benchmark.pedantic(accuracy_sweep, rounds=1, iterations=1)
+    _, train, test = build_data()
+    baseline = LogisticRegressionModel(REGULARIZATION).fit(*train).accuracy(*test)
+    rows = benchmark.pedantic(
+        lambda: [
+            {"epsilon": eps, **bench_case(eps, seeds=SEEDS, resolution=64)}
+            for eps in EPSILONS
+        ],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E7 / Chaudhuri baselines",
@@ -116,43 +89,43 @@ def test_e7_accuracy_vs_epsilon(benchmark):
         ["epsilon", "output-pert", "objective-pert", "gibbs (grid 64)", "non-private"],
         title="test accuracy, two-Gaussian task (Bayes-opt ≈ 0.93)",
     )
+    output, objective, gibbs = (
+        "accuracy_output_perturbation",
+        "accuracy_objective_perturbation",
+        "accuracy_gibbs",
+    )
     for row in rows:
         table.add_row(
-            row["epsilon"], row["output"], row["objective"], row["gibbs"], baseline
+            row["epsilon"], row[output], row[objective], row[gibbs], baseline
         )
     print(table)
 
     # All methods improve with ε (allowing small Monte-Carlo slack).
-    for key in ("output", "objective", "gibbs"):
+    for key in (output, objective, gibbs):
         values = [r[key] for r in rows]
         assert values[-1] >= values[0] - 0.02
     # At the largest ε everyone is near the non-private baseline.
     final = rows[-1]
-    assert final["objective"] >= baseline - 0.03
-    assert final["output"] >= baseline - 0.05
-    assert final["gibbs"] >= baseline - 0.05
+    assert final[objective] >= baseline - 0.03
+    assert final[output] >= baseline - 0.05
+    assert final[gibbs] >= baseline - 0.05
     # Objective perturbation >= output perturbation at moderate ε.
     moderate = [r for r in rows if r["epsilon"] in (0.5, 2.0)]
-    assert all(r["objective"] >= r["output"] - 0.01 for r in moderate)
+    assert all(r[objective] >= r[output] - 0.01 for r in moderate)
 
 
 def test_e7_resolution_ablation(benchmark):
     """Ablation (DESIGN.md #2): Θ-grid resolution for the generic learner."""
-    task, (x, y), (x_test, y_test) = build_data()
+    _, train, test = build_data()
     epsilon = 2.0
 
     def run():
         rows = []
         for resolution in [4, 16, 64, 256]:
-            accs = [
-                ExponentialMechanismLearner(
-                    2, epsilon, N_TRAIN, resolution=resolution
-                )
-                .fit(x, y, random_state=seed)
-                .accuracy(x_test, y_test)
-                for seed in range(SEEDS)
-            ]
-            rows.append((resolution, float(np.mean(accs))))
+            make = partial(
+                ExponentialMechanismLearner, 2, epsilon, N_TRAIN, resolution=resolution
+            )
+            rows.append((resolution, mean_accuracy(make, train, test, SEEDS)))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

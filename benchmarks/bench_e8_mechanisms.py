@@ -25,6 +25,8 @@ from repro.mechanisms import (
 from repro.privacy import ExactPrivacyAuditor
 
 EPSILONS = [0.1, 0.5, 1.0, 2.0]
+#: Dataset whose count the utility curves release.
+DATASET = [1, 0, 1, 1, 0]
 
 
 def count_query(dataset):
@@ -39,8 +41,10 @@ def geometric_output_law(mechanism, dataset, support):
     return DiscreteDistribution(list(support), probs / probs.sum())
 
 
-def bench_case(epsilon, error_samples=1000, seed=0):
-    """Engine entry point: measured privacy loss + Laplace MAE at one ε."""
+def measured_losses(epsilon):
+    """Measured worst-case log-ratio of each mechanism at nominal ε."""
+    # Geometric: exact audit over a truncated (renormalized) support wide
+    # enough that truncation error is ~0.
     geom = GeometricMechanism(count_query, 1.0, epsilon)
     support = range(-200, 204)
     geom_measured = (
@@ -50,12 +54,15 @@ def bench_case(epsilon, error_samples=1000, seed=0):
         .audit([0, 1], n=3)
         .measured_epsilon
     )
+    # Randomized response: sharp 2x2 channel.
     rr_measured = RandomizedResponse(epsilon).as_channel().max_log_ratio()
+    # Laplace: analytic worst-case ratio (tail value).
     lap = LaplaceMechanism(count_query, 1.0, epsilon)
     lap_measured = abs(
         lap.output_log_density([0, 0], 50.0)
         - lap.output_log_density([0, 1], 50.0)
     )
+    # Exponential mechanism: exact audit on a 4-point range.
     exp_mech = ExponentialMechanism(
         lambda d, u: -abs(sum(d) - u),
         outputs=range(4),
@@ -67,18 +74,27 @@ def bench_case(epsilon, error_samples=1000, seed=0):
         .audit([0, 1], n=3)
         .measured_epsilon
     )
-    rng = np.random.default_rng(seed)
-    dataset = [1, 0, 1, 1, 0]
-    truth = count_query(dataset)
-    # Batched draws: stream-identical to the old per-release loop.
-    releases = lap.release_many(dataset, error_samples, random_state=rng)
-    lap_mae = float(np.mean(np.abs(releases - truth)))
     return {
         "measured_geometric": float(geom_measured),
         "measured_randomized_response": float(rr_measured),
         "measured_laplace": float(lap_measured),
         "measured_exponential": float(exp_measured),
-        "laplace_mae": lap_mae,
+    }
+
+
+def mean_absolute_error(mechanism, samples, rng):
+    """MAE of ``samples`` batched releases of the count on DATASET."""
+    releases = mechanism.release_many(DATASET, samples, random_state=rng)
+    return float(np.mean(np.abs(releases - count_query(DATASET))))
+
+
+def bench_case(epsilon, error_samples=1000, seed=0):
+    """Engine entry point: measured privacy loss + Laplace MAE at one ε."""
+    lap = LaplaceMechanism(count_query, 1.0, epsilon)
+    rng = np.random.default_rng(seed)
+    return {
+        **measured_losses(epsilon),
+        "laplace_mae": mean_absolute_error(lap, error_samples, rng),
         "laplace_mae_theory": float(lap.expected_absolute_error()),
     }
 
@@ -92,53 +108,11 @@ BENCH_SPEC = {
 
 
 def test_e8_privacy_audit_table(benchmark):
-    def run():
-        rows = []
-        for eps in EPSILONS:
-            # Geometric: exact audit over a truncated (renormalized) support
-            # wide enough that truncation error is ~0.
-            geom = GeometricMechanism(count_query, 1.0, eps)
-            support = range(-200, 204)
-            auditor = ExactPrivacyAuditor(
-                lambda d, geom=geom: geometric_output_law(geom, d, support)
-            )
-            geom_measured = auditor.audit([0, 1], n=3).measured_epsilon
-
-            # Randomized response: sharp 2x2 channel.
-            rr = RandomizedResponse(eps)
-            rr_measured = rr.as_channel().max_log_ratio()
-
-            # Laplace: analytic worst-case ratio (tail value).
-            lap = LaplaceMechanism(count_query, 1.0, eps)
-            lap_measured = abs(
-                lap.output_log_density([0, 0], 50.0)
-                - lap.output_log_density([0, 1], 50.0)
-            )
-
-            # Exponential mechanism: exact audit on a 4-point range.
-            exp_mech = ExponentialMechanism(
-                lambda d, u: -abs(sum(d) - u),
-                outputs=range(4),
-                sensitivity=1.0,
-                epsilon=eps,
-            )
-            exp_measured = (
-                ExactPrivacyAuditor(exp_mech.output_distribution)
-                .audit([0, 1], n=3)
-                .measured_epsilon
-            )
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "geometric": geom_measured,
-                    "randomized_response": rr_measured,
-                    "laplace": lap_measured,
-                    "exponential": exp_measured,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: [{"epsilon": eps, **measured_losses(eps)} for eps in EPSILONS],
+        rounds=1,
+        iterations=1,
+    )
 
     print_header(
         "E8 / Theorems 2.3 & 2.5",
@@ -151,21 +125,23 @@ def test_e8_privacy_audit_table(benchmark):
     for row in rows:
         table.add_row(
             row["epsilon"],
-            row["geometric"],
-            row["randomized_response"],
-            row["laplace"],
-            row["exponential"],
+            row["measured_geometric"],
+            row["measured_randomized_response"],
+            row["measured_laplace"],
+            row["measured_exponential"],
         )
     print(table)
 
     for row in rows:
         eps = row["epsilon"]
         # Sharp mechanisms: measured == nominal.
-        assert row["geometric"] == pytest.approx(eps, abs=1e-6)
-        assert row["randomized_response"] == pytest.approx(eps, abs=1e-9)
-        assert row["laplace"] == pytest.approx(eps, abs=1e-9)
+        assert row["measured_geometric"] == pytest.approx(eps, abs=1e-6)
+        assert row["measured_randomized_response"] == pytest.approx(
+            eps, abs=1e-9
+        )
+        assert row["measured_laplace"] == pytest.approx(eps, abs=1e-9)
         # Exponential: within budget (possibly strictly below).
-        assert row["exponential"] <= eps + 1e-9
+        assert row["measured_exponential"] <= eps + 1e-9
 
 
 def test_e8_utility_curves(benchmark):
@@ -174,23 +150,15 @@ def test_e8_utility_curves(benchmark):
     def run():
         rows = []
         rng = np.random.default_rng(0)
-        dataset = [1, 0, 1, 1, 0]
-        truth = count_query(dataset)
         for eps in EPSILONS:
             lap = LaplaceMechanism(count_query, 1.0, eps)
             geom = GeometricMechanism(count_query, 1.0, eps)
-            lap_err = np.mean(
-                np.abs(lap.release_many(dataset, 5_000, random_state=rng) - truth)
-            )
-            geom_err = np.mean(
-                np.abs(geom.release_many(dataset, 5_000, random_state=rng) - truth)
-            )
             rows.append(
                 {
                     "epsilon": eps,
-                    "laplace_mae": float(lap_err),
+                    "laplace_mae": mean_absolute_error(lap, 5_000, rng),
                     "laplace_theory": lap.expected_absolute_error(),
-                    "geometric_mae": float(geom_err),
+                    "geometric_mae": mean_absolute_error(geom, 5_000, rng),
                 }
             )
         return rows

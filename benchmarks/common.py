@@ -49,6 +49,17 @@ def bernoulli_instance(
     }
 
 
+def mean_accuracy(make, train, test, seeds, seed=0) -> float:
+    """Mean test accuracy of ``make()`` fitted once per seed in
+    ``seed, ..., seed + seeds - 1``."""
+    (x, y), (x_test, y_test) = train, test
+    accuracies = [
+        make().fit(x, y, random_state=fit_seed).accuracy(x_test, y_test)
+        for fit_seed in range(seed, seed + seeds)
+    ]
+    return float(np.mean(accuracies))
+
+
 def print_header(experiment_id: str, claim: str) -> None:
     """Uniform banner so bench output reads as the experiment index."""
     bar = "=" * 72

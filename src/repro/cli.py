@@ -521,46 +521,40 @@ def _cmd_loadtest(args) -> int:
 def _loadtest_compare(args, spec, report) -> int:
     """Gate a load-test run's wall seconds against the perf baseline."""
     from repro.exceptions import ValidationError
-    from repro.experiments import load_baseline
+    from repro.experiments import compare_to_baseline, load_baseline
 
-    if args.tolerance <= 0:
-        print("loadtest: --tolerance must be > 0", file=sys.stderr)
-        return 2
+    key = f"LOADTEST_{spec.loadtest_id}"
+    requests = report["deterministic"]["requests"]
     try:
         baseline = load_baseline(args.compare)
+        (entry,) = compare_to_baseline(
+            [(key, report["wall_clock"]["seconds"], requests)],
+            baseline,
+            tolerance=args.tolerance,
+        ).entries
     except ValidationError as error:
         print(f"loadtest: {error}", file=sys.stderr)
         return 2
-    key = f"LOADTEST_{spec.loadtest_id}"
-    entry = baseline.experiments.get(key)
-    if entry is None:
-        print(
-            f"loadtest: baseline {args.compare} has no {key!r} entry",
-            file=sys.stderr,
-        )
-        return 2
-    measured = report["wall_clock"]["seconds"]
-    requests = report["deterministic"]["requests"]
-    if entry.get("configurations", 0) != requests:
+    if entry.configurations_changed:
         print(
             f"loadtest PERF GATE: workload changed ({requests} requests vs "
-            f"{entry.get('configurations', 0)} in the baseline); "
+            f"{baseline.experiments[key]['configurations']} in the baseline); "
             f"re-baseline {key}",
             file=sys.stderr,
         )
         return 1
-    ratio = measured / entry["seconds"]
-    if ratio > args.tolerance:
+    if entry.regressed:
         print(
-            f"loadtest PERF REGRESSION: {measured:.4f}s is "
-            f"{ratio:.2f}x the committed {entry['seconds']:.4f}s "
+            f"loadtest PERF REGRESSION: {entry.measured_seconds:.4f}s is "
+            f"{entry.ratio:.2f}x the committed {entry.baseline_seconds:.4f}s "
             f"(tolerance {args.tolerance:g}x)",
             file=sys.stderr,
         )
         return 1
     print(
-        f"loadtest perf OK: {measured:.4f}s vs baseline "
-        f"{entry['seconds']:.4f}s ({ratio:.2f}x <= {args.tolerance:g}x)",
+        f"loadtest perf OK: {entry.measured_seconds:.4f}s vs baseline "
+        f"{entry.baseline_seconds:.4f}s ({entry.ratio:.2f}x <= "
+        f"{args.tolerance:g}x)",
         file=sys.stderr,
     )
     return 0
@@ -641,6 +635,7 @@ def _bench_body(args) -> int:
         ResultCache,
         ResultTable,
         compare_to_baseline,
+        fresh_measurements,
         load_baseline,
         select_experiments,
     )
@@ -744,7 +739,7 @@ def _bench_body(args) -> int:
     if baseline is not None:
         try:
             comparison = compare_to_baseline(
-                manifests, baseline, tolerance=args.tolerance
+                fresh_measurements(manifests), baseline, tolerance=args.tolerance
             )
         except ValidationError as error:
             print(f"bench: {error}", file=sys.stderr)
@@ -910,8 +905,8 @@ def _cmd_audit_summary(args) -> int:
         print(f"audit-summary: {args.path} is not valid JSON: {error}",
               file=sys.stderr)
         return 2
-    reports = payload.get("reports")
-    if not isinstance(reports, list) or not isinstance(payload, dict):
+    reports = payload.get("reports") if isinstance(payload, dict) else None
+    if not isinstance(reports, list):
         print(
             f"audit-summary: {args.path} is not a `repro audit --format "
             "json` report (missing 'reports')",

@@ -26,6 +26,7 @@ from repro.experiments.perf import (
     PerfBaseline,
     PerfComparison,
     compare_to_baseline,
+    fresh_measurements,
     load_baseline,
 )
 from repro.experiments.plotting import ascii_curve
@@ -40,7 +41,6 @@ from repro.experiments.runner import (
     expand_grid,
     reseed,
     run_configurations,
-    run_experiment,
     sweep,
 )
 from repro.experiments.tables import ResultTable
@@ -65,13 +65,13 @@ __all__ = [
     "compare_to_baseline",
     "expand_grid",
     "experiment_span",
+    "fresh_measurements",
     "get_experiment",
     "load_baseline",
     "load_bench_spec",
     "load_manifest",
     "reseed",
     "run_configurations",
-    "run_experiment",
     "select_experiments",
     "sweep",
 ]

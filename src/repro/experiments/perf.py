@@ -8,9 +8,12 @@ records the blessed per-experiment compute seconds, and
 configurable slowdown tolerance — so wins like the vectorized
 ``release_many`` kernels are enforced by CI rather than just claimed.
 
-The number compared is the manifest's ``executed_seconds`` (per-config
-compute with cache hits excluded), which is why the CLI forces fresh
-timings whenever ``--compare`` or ``--write-baseline`` is given.
+The gate judges plain ``(id, seconds, configurations)`` measurements, so
+``repro bench`` and ``repro loadtest --compare`` share one verdict. For a
+bench run the seconds are the manifest's ``executed_seconds`` (per-config
+compute); :func:`fresh_measurements` refuses manifests with cache hits,
+which is why the CLI forces fresh timings whenever ``--compare`` or
+``--write-baseline`` is given.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "PerfBaseline",
     "PerfComparison",
     "compare_to_baseline",
+    "fresh_measurements",
     "load_baseline",
 ]
 
@@ -60,18 +64,12 @@ class PerfBaseline:
         note:
             Provenance line stored verbatim in the baseline.
         """
-        experiments = {}
-        for manifest in manifests:
-            if manifest.cache_hits:
-                raise ValidationError(
-                    f"baseline for {manifest.experiment_id} would include "
-                    f"{manifest.cache_hits} cache hits; rerun with the "
-                    "cache disabled so the timings are real"
-                )
-            experiments[manifest.experiment_id] = {
-                "seconds": float(manifest.executed_seconds),
-                "configurations": len(manifest.records),
-            }
+        experiments = {
+            experiment_id: {"seconds": seconds, "configurations": configurations}
+            for experiment_id, seconds, configurations in fresh_measurements(
+                manifests
+            )
+        }
         return cls(experiments=experiments, note=str(note))
 
     def to_dict(self) -> dict:
@@ -172,7 +170,7 @@ class PerfEntry:
     baseline_seconds:
         Blessed compute seconds from the committed baseline.
     measured_seconds:
-        ``executed_seconds`` of the fresh manifest.
+        The fresh measurement's seconds.
     ratio:
         ``measured / baseline`` — > 1 means slower than the baseline.
     tolerance:
@@ -243,23 +241,55 @@ class PerfComparison:
         }
 
 
-def compare_to_baseline(
-    manifests, baseline: PerfBaseline, tolerance: float = 1.5
-) -> PerfComparison:
-    """Diff fresh manifests against a committed baseline.
-
-    An experiment regresses when ``measured / baseline > tolerance`` or
-    when its sweep size no longer matches the baseline's (in which case
-    the ratio compares different workloads and the baseline must be
-    regenerated). An experiment missing from the baseline is a usage
-    error — regenerate the baseline with ``--write-baseline`` — and
-    raises :class:`~repro.exceptions.ValidationError`.
+def fresh_measurements(manifests) -> list[tuple[str, float, int]]:
+    """The ``(id, seconds, configurations)`` measurements of fresh manifests.
 
     Parameters
     ----------
     manifests:
-        Iterable of :class:`~repro.experiments.manifest.RunManifest` from
-        a fresh (cache-bypassing) run.
+        Iterable of :class:`~repro.experiments.manifest.RunManifest`. A
+        manifest with cache hits raises
+        :class:`~repro.exceptions.ValidationError`: cached timings are not
+        timings.
+    """
+    measurements = []
+    for manifest in manifests:
+        if not isinstance(manifest, RunManifest):
+            raise ValidationError("fresh_measurements expects RunManifests")
+        if manifest.cache_hits:
+            raise ValidationError(
+                f"manifest for {manifest.experiment_id} contains "
+                f"{manifest.cache_hits} cache hits; perf timings need a "
+                "fresh run (cache disabled)"
+            )
+        measurements.append(
+            (
+                manifest.experiment_id,
+                float(manifest.executed_seconds),
+                len(manifest.records),
+            )
+        )
+    return measurements
+
+
+def compare_to_baseline(
+    measurements, baseline: PerfBaseline, tolerance: float = 1.5
+) -> PerfComparison:
+    """Judge fresh measurements against a committed baseline.
+
+    An entry regresses when ``measured / baseline > tolerance`` or when
+    its workload size no longer matches the baseline's record of it (in
+    which case the ratio compares different workloads and the baseline
+    must be regenerated; a baseline entry without ``configurations`` is
+    not checked for drift). An id missing from the baseline is a usage
+    error and raises :class:`~repro.exceptions.ValidationError`.
+
+    Parameters
+    ----------
+    measurements:
+        Iterable of ``(id, seconds, configurations)`` triples, e.g.
+        :func:`fresh_measurements` of a bench run or one load test's wall
+        seconds and request count.
     baseline:
         The committed :class:`PerfBaseline`.
     tolerance:
@@ -268,34 +298,24 @@ def compare_to_baseline(
     if tolerance <= 0:
         raise ValidationError("tolerance must be > 0")
     entries = []
-    for manifest in manifests:
-        if not isinstance(manifest, RunManifest):
-            raise ValidationError("compare_to_baseline expects RunManifests")
-        blessed = baseline.experiments.get(manifest.experiment_id)
+    for experiment_id, seconds, configurations in measurements:
+        blessed = baseline.experiments.get(experiment_id)
         if blessed is None:
             known = ", ".join(sorted(baseline.experiments))
             raise ValidationError(
-                f"experiment {manifest.experiment_id} is not in the perf "
-                f"baseline (has: {known}); regenerate it with "
-                "--write-baseline"
+                f"{experiment_id} is not in the perf baseline (has: {known}); "
+                "regenerate the baseline"
             )
-        if manifest.cache_hits:
-            raise ValidationError(
-                f"manifest for {manifest.experiment_id} contains "
-                f"{manifest.cache_hits} cache hits; compare needs fresh "
-                "timings (run with the cache disabled)"
-            )
-        measured = float(manifest.executed_seconds)
         entries.append(
             PerfEntry(
-                experiment_id=manifest.experiment_id,
+                experiment_id=experiment_id,
                 baseline_seconds=blessed["seconds"],
-                measured_seconds=measured,
-                ratio=measured / blessed["seconds"],
+                measured_seconds=float(seconds),
+                ratio=float(seconds) / blessed["seconds"],
                 tolerance=float(tolerance),
                 configurations_changed=bool(
                     blessed["configurations"]
-                    and blessed["configurations"] != len(manifest.records)
+                    and blessed["configurations"] != configurations
                 ),
             )
         )

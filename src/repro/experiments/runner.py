@@ -29,7 +29,6 @@ __all__ = [
     "expand_grid",
     "reseed",
     "run_configurations",
-    "run_experiment",
     "sweep",
 ]
 
@@ -73,31 +72,6 @@ def reseed(seed: int, attempt: int) -> int:
         return int(seed)
     blob = f"repro.reseed:{int(seed)}:{int(attempt)}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
-
-
-def run_experiment(
-    name: str, fn: Callable[..., Mapping], **parameters
-) -> ExperimentResult:
-    """Run ``fn(**parameters)`` and wrap its dict result with timing.
-
-    Parameters
-    ----------
-    name:
-        Label stored on the result.
-    fn:
-        Experiment function; must return a mapping of outputs.
-    """
-    outputs, seconds, worker, trace = _traced_invoke(name, fn, parameters)
-    metadata = {"worker": worker, "retries": 0}
-    if trace is not None:
-        metadata["trace"] = trace
-    return ExperimentResult(
-        name=name,
-        parameters=dict(parameters),
-        outputs=outputs,
-        seconds=seconds,
-        metadata=metadata,
-    )
 
 
 def _invoke(fn: Callable[..., Mapping], parameters: Mapping) -> tuple:

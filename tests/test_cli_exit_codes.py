@@ -328,3 +328,14 @@ class TestTraceCli:
         show = _run_module("trace", str(trace_path))
         assert show.returncode == 0, show.stderr
         assert "experiment:E14" in show.stdout
+
+
+class TestAuditSummaryExitCodes:
+    @pytest.mark.parametrize("document", ["[1, 2]", '"text"', "3", "{}"])
+    def test_non_report_document_exits_two(self, capsys, tmp_path, document):
+        path = tmp_path / "audit.json"
+        path.write_text(document)
+        assert main(["audit-summary", str(path)]) == 2
+        assert "is not a `repro audit --format json` report" in (
+            capsys.readouterr().err
+        )

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
-from repro.experiments import ResultTable, ascii_curve, run_experiment, sweep
+from repro.exceptions import ExperimentError, ValidationError
+from repro.experiments import ResultTable, ascii_curve, sweep
 
 
 class TestResultTable:
@@ -98,16 +98,17 @@ class TestAsciiCurve:
 
 
 class TestRunner:
-    def test_run_experiment_wraps_output(self):
-        result = run_experiment("double", lambda x: {"y": 2 * x}, x=3)
+    def test_one_point_sweep_wraps_output(self):
+        (result,) = sweep("double", lambda x: {"y": 2 * x}, grid={"x": [3]})
         assert result.outputs == {"y": 6}
         assert result.parameters == {"x": 3}
         assert result.seconds >= 0
         assert "double" in str(result)
 
-    def test_run_experiment_rejects_non_mapping(self):
-        with pytest.raises(ValidationError):
-            run_experiment("bad", lambda: 42)
+    def test_one_point_sweep_rejects_non_mapping(self):
+        with pytest.raises(ExperimentError) as raised:
+            sweep("bad", lambda x: 42, grid={"x": [1]})
+        assert isinstance(raised.value.__cause__, ValidationError)
 
     def test_sweep_cartesian_product(self):
         results = sweep(

@@ -1,8 +1,9 @@
 """The perf-regression gate: baselines, comparisons, and CLI exit codes.
 
-Unit tests build synthetic :class:`RunManifest` objects so the gate logic
-(tolerance, sweep-size drift, cache-hit rejection, missing experiments)
-is exercised without running a benchmark. The CLI tests then do one real
+Unit tests judge synthetic ``(id, seconds, configurations)`` measurements
+and :class:`RunManifest` objects so the gate logic (tolerance, sweep-size
+drift, cache-hit rejection, missing experiments) is exercised without
+running a benchmark. The CLI tests then do one real
 ``repro bench E5`` dry run per scenario — write a baseline, pass against
 it, fail against a deliberately slowed (÷1000 seconds) baseline — pinning
 the 0/1/2 exit-code contract the CI perf-gate job relies on.
@@ -23,6 +24,7 @@ from repro.experiments import (
     PERF_SCHEMA_VERSION,
     PerfBaseline,
     compare_to_baseline,
+    fresh_measurements,
     load_baseline,
 )
 from repro.experiments.manifest import ConfigurationRecord, RunManifest
@@ -99,9 +101,7 @@ class TestPerfBaseline:
 class TestCompareToBaseline:
     def test_within_tolerance_is_ok(self):
         baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
-        comparison = compare_to_baseline(
-            [_manifest("E5", 1.4)], baseline, tolerance=1.5
-        )
+        comparison = compare_to_baseline([("E5", 1.4, 3)], baseline, tolerance=1.5)
         assert comparison.ok
         assert comparison.regressions == ()
         (entry,) = comparison.entries
@@ -110,9 +110,7 @@ class TestCompareToBaseline:
 
     def test_slowdown_past_tolerance_regresses(self):
         baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
-        comparison = compare_to_baseline(
-            [_manifest("E5", 1.6)], baseline, tolerance=1.5
-        )
+        comparison = compare_to_baseline([("E5", 1.6, 3)], baseline, tolerance=1.5)
         assert not comparison.ok
         assert [e.experiment_id for e in comparison.regressions] == ["E5"]
         report = comparison.to_dict()
@@ -123,18 +121,14 @@ class TestCompareToBaseline:
     def test_exactly_at_tolerance_passes(self):
         # The gate is "> tolerance", so ratio == tolerance is a pass.
         baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
-        comparison = compare_to_baseline(
-            [_manifest("E5", 1.5)], baseline, tolerance=1.5
-        )
+        comparison = compare_to_baseline([("E5", 1.5, 3)], baseline, tolerance=1.5)
         assert comparison.ok
 
     def test_sweep_size_drift_regresses_even_when_faster(self):
         baseline = PerfBaseline.from_manifests(
             [_manifest("E5", 1.0, configurations=3)]
         )
-        comparison = compare_to_baseline(
-            [_manifest("E5", 0.1, configurations=2)], baseline
-        )
+        comparison = compare_to_baseline([("E5", 0.1, 2)], baseline)
         (entry,) = comparison.entries
         assert entry.configurations_changed
         assert entry.regressed
@@ -143,19 +137,22 @@ class TestCompareToBaseline:
     def test_missing_experiment_is_validation_error(self):
         baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
         with pytest.raises(ValidationError, match="not in the perf baseline"):
-            compare_to_baseline([_manifest("E8", 1.0)], baseline)
+            compare_to_baseline([("E8", 1.0, 3)], baseline)
 
     def test_cache_hits_in_manifest_are_rejected(self):
-        baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
         with pytest.raises(ValidationError, match="cache hits"):
-            compare_to_baseline([_manifest("E5", 1.0, cached=2)], baseline)
+            fresh_measurements([_manifest("E5", 1.0, cached=2)])
+
+    def test_fresh_manifest_measures_id_seconds_and_configurations(self):
+        (measurement,) = fresh_measurements([_manifest("E5", 1.2)])
+        assert measurement == ("E5", pytest.approx(1.2), 3)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1.0])
     def test_non_positive_tolerance_is_validation_error(self, tolerance):
         baseline = PerfBaseline.from_manifests([_manifest("E5", 1.0)])
         with pytest.raises(ValidationError, match="tolerance"):
             compare_to_baseline(
-                [_manifest("E5", 1.0)], baseline, tolerance=tolerance
+                [("E5", 1.0, 3)], baseline, tolerance=tolerance
             )
 
 

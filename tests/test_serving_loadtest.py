@@ -247,6 +247,32 @@ class TestCli:
         assert main(run + ["--compare", str(baseline)]) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
 
+    def test_loadtest_compare_workload_change_exits_one(self, tmp_path, capsys):
+        # 4 clients x 2 requests = 8 requests; the baseline blessed 9, so
+        # the ratio would compare different workloads. Generous seconds
+        # keep the verdict about the drift alone.
+        baseline = tmp_path / "perf_baseline.json"
+        baseline.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "note": "test",
+                    "experiments": {
+                        "LOADTEST_cli": {"seconds": 1e9, "configurations": 9}
+                    },
+                }
+            )
+        )
+        code = main(
+            [
+                "loadtest", "--id", "cli", "--clients", "4",
+                "--requests-per-client", "2", "--seed", "2",
+                "--output-dir", str(tmp_path), "--compare", str(baseline),
+            ]
+        )
+        assert code == 1
+        assert "workload changed (8 requests vs 9" in capsys.readouterr().err
+
     def test_loadtest_compare_missing_entry_is_usage_error(self, tmp_path):
         baseline = tmp_path / "perf_baseline.json"
         baseline.write_text(
