@@ -230,16 +230,18 @@ class BatchedLangevinSampler:
     per row (callables permitting), so row ``i`` of a batch equals the
     lone row of a one-chain run bit for bit.
 
+    Each proposal is evaluated once: one call returns both the
+    log-density and its gradient, which the acceptance test and the next
+    drift share.
+
     Parameters
     ----------
-    log_density:
-        Vectorized unnormalized log-density: maps ``(m, d)`` states to
-        ``(m,)`` values. Row ``i`` of the result must depend only on row
-        ``i`` of the input (no cross-chain reductions), or batched and
-        sequential runs will diverge.
-    grad_log_density:
-        Vectorized gradient: maps ``(m, d)`` states to ``(m, d)``
-        gradients, same row-independence requirement.
+    log_density_and_grad:
+        Vectorized unnormalized log-density and its gradient: maps
+        ``(m, d)`` states to ``((m,) values, (m, d) gradients)``. Row
+        ``i`` of both results must depend only on row ``i`` of the input
+        (no cross-chain reductions), or batched and sequential runs will
+        diverge.
     dimension:
         Dimension ``d`` of the state space.
     step_size:
@@ -249,17 +251,22 @@ class BatchedLangevinSampler:
 
     def __init__(
         self,
-        log_density: Callable[[np.ndarray], np.ndarray],
-        grad_log_density: Callable[[np.ndarray], np.ndarray],
+        log_density_and_grad: Callable[
+            [np.ndarray], tuple[np.ndarray, np.ndarray]
+        ],
         dimension: int,
         step_size: float = 0.1,
     ) -> None:
         if dimension < 1:
             raise ValidationError("dimension must be >= 1")
-        self.log_density = log_density
-        self.grad_log_density = grad_log_density
+        self.log_density_and_grad = log_density_and_grad
         self.dimension = int(dimension)
         self.step_size = check_positive(step_size, name="step_size")
+
+    def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-densities and gradients at ``theta`` as float arrays."""
+        values, grads = self.log_density_and_grad(theta)
+        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
     def _draw_blocks(
         self, n_chains: int, steps: int, rng: np.random.Generator
@@ -268,13 +275,16 @@ class BatchedLangevinSampler:
 
         The loop exists *only* to pin the stream layout; the O(steps·d)
         work per chain is a bulk generator fill, so this is cheap even
-        for thousands of chains.
+        for thousands of chains. The acceptance uniforms take one
+        in-place ``log`` for the whole batch.
         """
         noise = np.empty((n_chains, steps, self.dimension))
         log_uniforms = np.empty((n_chains, steps))
         for chain in range(n_chains):
             noise[chain] = rng.standard_normal((steps, self.dimension))
-            log_uniforms[chain] = _log_uniform(rng, size=steps)
+            log_uniforms[chain] = rng.uniform(size=steps)
+        with np.errstate(divide="ignore"):
+            np.log(log_uniforms, out=log_uniforms)
         return noise, log_uniforms
 
     def run(
@@ -316,7 +326,7 @@ class BatchedLangevinSampler:
             )
 
         state = np.repeat(start[None, :], n_chains, axis=0)
-        state_log_density = np.asarray(self.log_density(state), dtype=float)
+        state_log_density, state_grad = self._evaluate(state)
         if state_log_density.shape != (n_chains,):
             raise ValidationError(
                 "log_density must map (m, d) states to (m,) values"
@@ -325,7 +335,6 @@ class BatchedLangevinSampler:
             raise ValidationError(
                 "log_density must be finite at the initial state"
             )
-        state_grad = np.asarray(self.grad_log_density(state), dtype=float)
         if state_grad.shape != state.shape:
             raise ValidationError(
                 "grad_log_density must map (m, d) states to (m, d) gradients"
@@ -340,12 +349,7 @@ class BatchedLangevinSampler:
         for step in range(steps):
             drift = state + half_h2 * state_grad
             proposal = drift + h * noise[:, step, :]
-            proposal_log_density = np.asarray(
-                self.log_density(proposal), dtype=float
-            )
-            proposal_grad = np.asarray(
-                self.grad_log_density(proposal), dtype=float
-            )
+            proposal_log_density, proposal_grad = self._evaluate(proposal)
             reverse_drift = proposal + half_h2 * proposal_grad
             with np.errstate(invalid="ignore"):
                 log_forward = -inv_2h2 * ((proposal - drift) ** 2).sum(axis=1)

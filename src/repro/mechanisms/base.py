@@ -100,9 +100,15 @@ def _draw_loop(mechanism, draw, items):
     The draws are real releases made one at a time, so one that raises
     leaves the earlier ones done — noise consumed, state mutated — while
     the batch's event is never reached. Called directly under a batch
-    entry point, the loop records the k draws that completed before
+    entry point, the loop records the releases that completed before
     re-raising: the ledger never under-counts a release that happened. A
     single ``release`` that raises records nothing.
+
+    The entry point's span carries its release count ``n``, and the
+    loop's ``N`` items split evenly over those releases (``N/n`` records
+    per local release, one draw otherwise). So ``k`` completed items are
+    ``⌊k·n/N⌋`` completed releases: a partly privatized release is not
+    charged, as a raising ``release`` is not.
     """
     outputs = []
     try:
@@ -111,8 +117,10 @@ def _draw_loop(mechanism, draw, items):
     except BaseException:
         tracer = _trace.current()
         span = tracer and tracer.active_span
-        if outputs and span and span.name.startswith(_BATCH_ENTRIES):
-            _record_release(tracer, mechanism, len(outputs))
+        if span and span.name.startswith(_BATCH_ENTRIES):
+            completed = len(outputs) * span.attributes["count"] // len(items)
+            if completed:
+                _record_release(tracer, mechanism, completed)
         raise
     return outputs
 

@@ -186,6 +186,44 @@ class LocalMechanism(Mechanism):
         records = self._check_records(dataset)
         return self._privatize_many(records, rng)
 
+    def _release_many(self, dataset, n, rng):
+        """Batch kernel: one :meth:`_privatize_many` over ``n`` copies.
+
+        Every kernel draws a fixed-width block per record in order, so
+        privatizing the n-fold tiled dataset consumes the stream exactly
+        like ``n`` sequential :meth:`release` calls. The dataset is
+        validated once; the result is split back into ``n`` releases. A
+        looped kernel that raises mid-batch records only the releases
+        whose every record completed (see
+        :func:`~repro.mechanisms.base._draw_loop`).
+
+        Parameters
+        ----------
+        dataset:
+            Sequence of records, as :meth:`release` expects it.
+        n:
+            Number of releases (already validated, ≥ 1).
+        rng:
+            A ready :class:`numpy.random.Generator`.
+
+        Returns
+        -------
+        numpy.ndarray or list
+            An ``(n, m, …)`` array for array outputs, else ``n`` lists of
+            ``m`` outputs, where ``m`` is the number of records.
+        """
+        records = self._check_records(dataset)
+        m = len(records)
+        # A list of records, or the (m, d) matrix of the sampling channels.
+        if isinstance(records, np.ndarray):
+            tiled = np.tile(records, (n, 1))
+        else:
+            tiled = records * n
+        outputs = self._privatize_many(tiled, rng)
+        if isinstance(outputs, np.ndarray):
+            return outputs.reshape((n, m) + outputs.shape[1:])
+        return [outputs[i * m : (i + 1) * m] for i in range(n)]
+
 
 class _CategoricalLocalMechanism(LocalMechanism):
     """Shared category bookkeeping for the frequency-oracle mechanisms."""

@@ -153,6 +153,31 @@ class TestTruncatedLoss:
         with pytest.raises(ValidationError):
             TruncatedLoss(SquaredLoss(), ceiling=1.0)
 
+    def test_value_and_derivative_is_bitwise_the_separate_calls(self):
+        base = LogisticLoss()
+        loss = TruncatedLoss(base, ceiling=1.0)
+        # Spans the clipped region (u <= log(e - 1)), its edge, zero and
+        # both saturated tails.
+        u = np.concatenate(
+            [np.linspace(-40.0, 40.0, 4001), [np.log(np.e - 1.0), 0.0, -700.0, 700.0]]
+        )
+        value, derivative = loss.value_and_derivative(u)
+        assert np.array_equal(value, loss.value(u))
+        assert np.array_equal(derivative, loss.derivative(u))
+        raw = base.value(u)
+        expected = np.where(raw >= 1.0, 0.0, base.derivative(u))
+        assert np.array_equal(derivative, expected)
+        assert (value == 1.0).any() and (value < 1.0).any()
+        # The logistic value's single log1p term matches the two-term form.
+        assert np.array_equal(
+            raw,
+            np.where(
+                u > 0,
+                np.log1p(np.exp(-np.abs(u))),
+                -u + np.log1p(np.exp(-np.abs(u))),
+            ),
+        )
+
     @given(margins)
     def test_always_in_bounds(self, u):
         loss = TruncatedLoss(LogisticLoss(), ceiling=2.0)

@@ -341,6 +341,32 @@ class TestPrivatizeManyTracing:
         assert tracer.events == []
         assert tracer.metrics.counter("mechanism.releases") == 0
 
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_partial_release_many_records_only_completed_releases(self, family):
+        # Regression: a looped release_many of 3 five-record releases
+        # failing at record 9 charged 3 records plus 1 release (2.0 ε).
+        # Records 1-5 make the one complete release; 6-8 are a partial
+        # release, which is no more charged than a raising release().
+        mechanism, records = _build_local(family)
+        mechanism = _looped(mechanism, fail_at=9)
+        with tracing() as tracer:
+            with pytest.raises(RuntimeError, match="mid-batch"):
+                mechanism.release_many(records[:5], 3, random_state=11)
+        (event,) = tracer.events
+        assert (event.count, event.epsilon) == (1, 0.5)
+        assert ledger_totals(tracer.events, kinds=("release",)) == (0.5, 0.0)
+        assert tracer.metrics.counter("mechanism.releases") == 1
+
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_release_many_failing_in_first_release_records_nothing(self, family):
+        mechanism, records = _build_local(family)
+        mechanism = _looped(mechanism, fail_at=5)
+        with tracing() as tracer:
+            with pytest.raises(RuntimeError, match="mid-batch"):
+                mechanism.release_many(records[:5], 3, random_state=11)
+        assert tracer.events == []
+        assert tracer.metrics.counter("mechanism.releases") == 0
+
     def test_raising_release_records_nothing(self):
         # Regression: the looped fallback used to record its own partial
         # event inside a traced ``release``, so a release failing at
