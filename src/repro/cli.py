@@ -8,13 +8,9 @@ Commands
 ``bench``
     Drive the registered benchmark experiments through the parallel,
     cached engine and write machine-readable ``BENCH_<id>.json``
-    manifests. ``--compare BASELINE`` additionally diffs the fresh
-    timings against a committed ``perf_baseline.json`` under
-    ``--tolerance`` and fails on regression; ``--write-baseline PATH``
-    records a new baseline. Exit code 0 when every configuration
-    succeeded (and, with ``--compare``, no experiment regressed), 1 when
-    any failed after retries or exceeded the perf tolerance, 2 on usage
-    errors — the same contract as ``lint``/``audit``.
+    manifests. Exit code 0 when every configuration succeeded, 1 when
+    any failed after retries, 2 on usage errors — the same contract as
+    ``lint``/``audit``.
 ``audit``
     Statistical verification of every mechanism family's claimed ε:
     Monte-Carlo audits with certified Clopper–Pearson lower bounds, plus
@@ -52,6 +48,9 @@ Commands
 ``bench`` and ``audit`` accept ``--trace`` (print a trace summary to
 stderr when done) and ``--trace-json PATH`` (write the full
 schema-versioned trace document); see ``docs/OBSERVABILITY.md``.
+
+A :class:`~repro.exceptions.ValidationError` that reaches :func:`main`
+is a usage error: it prints ``<command>: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -62,6 +61,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from repro.exceptions import ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,34 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="list_experiments",
         help="print the experiments the selection resolves to and exit",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="diff this run's executed seconds against a committed "
-        "perf_baseline.json (forces fresh timings); exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.5,
-        help="largest acceptable measured/baseline slowdown ratio for "
-        "--compare (default: 1.5)",
-    )
-    bench.add_argument(
-        "--compare-output",
-        metavar="PATH",
-        default=None,
-        help="write the --compare report JSON here "
-        "(default: <output-dir>/PERF_COMPARE.json)",
-    )
-    bench.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="record this run's executed seconds as the new perf baseline "
-        "(forces fresh timings)",
     )
     _add_trace_flags(bench)
 
@@ -271,21 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the workload with batching disabled and report "
         "the wall-clock speedup batching delivered",
-    )
-    loadtest.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="compare this run's wall seconds against the "
-        "LOADTEST_<id> entry of a committed perf_baseline.json; "
-        "exit 1 on regression",
-    )
-    loadtest.add_argument(
-        "--tolerance",
-        type=float,
-        default=5.0,
-        help="largest acceptable measured/baseline slowdown ratio for "
-        "--compare (default: 5.0 — CI runner speeds vary widely)",
     )
     loadtest.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -462,15 +420,10 @@ def _workload_ok(report) -> bool:
 
 
 def _cmd_serve(args) -> int:
-    from repro.exceptions import ValidationError
     from repro.serving import run_loadtest
 
-    try:
-        spec = _workload_spec(args)
-        report = run_loadtest(spec, simulated=False)
-    except ValidationError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
+    spec = _workload_spec(args)
+    report = run_loadtest(spec, simulated=False)
     _summarize_workload(
         report, f"Serving demo (real clock, id={spec.loadtest_id})"
     )
@@ -480,19 +433,14 @@ def _cmd_serve(args) -> int:
 def _cmd_loadtest(args) -> int:
     import json
 
-    from repro.exceptions import ValidationError
     from repro.serving import measure_speedup, run_loadtest, write_report
 
-    try:
-        spec = _workload_spec(args)
-        if args.compare_unbatched:
-            report, unbatched, speedup = measure_speedup(spec)
-        else:
-            report, unbatched, speedup = run_loadtest(spec), None, None
-        path = write_report(report, args.output_dir)
-    except ValidationError as error:
-        print(f"loadtest: {error}", file=sys.stderr)
-        return 2
+    spec = _workload_spec(args)
+    if args.compare_unbatched:
+        report, unbatched, speedup = measure_speedup(spec)
+    else:
+        report, unbatched, speedup = run_loadtest(spec), None, None
+    path = write_report(report, args.output_dir)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -513,50 +461,6 @@ def _cmd_loadtest(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.compare is not None:
-        return _loadtest_compare(args, spec, report)
-    return 0
-
-
-def _loadtest_compare(args, spec, report) -> int:
-    """Gate a load-test run's wall seconds against the perf baseline."""
-    from repro.exceptions import ValidationError
-    from repro.experiments import compare_to_baseline, load_baseline
-
-    key = f"LOADTEST_{spec.loadtest_id}"
-    requests = report["deterministic"]["requests"]
-    try:
-        baseline = load_baseline(args.compare)
-        (entry,) = compare_to_baseline(
-            [(key, report["wall_clock"]["seconds"], requests)],
-            baseline,
-            tolerance=args.tolerance,
-        ).entries
-    except ValidationError as error:
-        print(f"loadtest: {error}", file=sys.stderr)
-        return 2
-    if entry.configurations_changed:
-        print(
-            f"loadtest PERF GATE: workload changed ({requests} requests vs "
-            f"{baseline.experiments[key]['configurations']} in the baseline); "
-            f"re-baseline {key}",
-            file=sys.stderr,
-        )
-        return 1
-    if entry.regressed:
-        print(
-            f"loadtest PERF REGRESSION: {entry.measured_seconds:.4f}s is "
-            f"{entry.ratio:.2f}x the committed {entry.baseline_seconds:.4f}s "
-            f"(tolerance {args.tolerance:g}x)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"loadtest perf OK: {entry.measured_seconds:.4f}s vs baseline "
-        f"{entry.baseline_seconds:.4f}s ({entry.ratio:.2f}x <= "
-        f"{args.tolerance:g}x)",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -628,15 +532,10 @@ def _cmd_bench(args) -> int:
 def _bench_body(args) -> int:
     import json
 
-    from repro.exceptions import ValidationError
     from repro.experiments import (
         BenchmarkEngine,
-        PerfBaseline,
         ResultCache,
         ResultTable,
-        compare_to_baseline,
-        fresh_measurements,
-        load_baseline,
         select_experiments,
     )
 
@@ -649,36 +548,14 @@ def _bench_body(args) -> int:
         for experiment in selected:
             print(f"{experiment.id}  {experiment.bench}")
         return 0
-    baseline = None
-    if args.compare is not None:
-        # Fail on a bad baseline *before* spending a bench run on it.
-        try:
-            baseline = load_baseline(args.compare)
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-    perf_mode = args.compare is not None or args.write_baseline is not None
-    if perf_mode and not args.no_cache:
-        # Cached timings are not timings; perf modes always measure fresh.
-        print(
-            "bench: --compare/--write-baseline force fresh timings "
-            "(result cache bypassed)",
-            file=sys.stderr,
-        )
     try:
         engine = BenchmarkEngine(
             workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
-            cache=(
-                None
-                if args.no_cache or perf_mode
-                else ResultCache(args.cache_dir)
-            ),
+            cache=None if args.no_cache else ResultCache(args.cache_dir),
             output_dir=args.output_dir,
         )
-        if args.tolerance <= 0:
-            raise ValidationError("--tolerance must be > 0")
     except ValidationError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
@@ -722,68 +599,7 @@ def _bench_body(args) -> int:
             f"{sum(m.cache_hits for m in manifests)} cache hits, "
             f"{failures} failures"
         )
-    if failures:
-        return 1
-
-    if args.write_baseline is not None:
-        try:
-            note = f"repro bench {' '.join(args.experiments) or 'all'}"
-            path = PerfBaseline.from_manifests(manifests, note=note).write(
-                args.write_baseline
-            )
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-        print(f"perf baseline written: {path}", file=sys.stderr)
-
-    if baseline is not None:
-        try:
-            comparison = compare_to_baseline(
-                fresh_measurements(manifests), baseline, tolerance=args.tolerance
-            )
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-        report_path = args.compare_output or str(
-            Path(args.output_dir) / "PERF_COMPARE.json"
-        )
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(
-            json.dumps(comparison.to_dict(), indent=2) + "\n"
-        )
-        table = ResultTable(
-            ["id", "baseline s", "measured s", "ratio", "verdict"],
-            title=f"Perf comparison (tolerance {comparison.tolerance:g}x)",
-        )
-        for entry in comparison.entries:
-            verdict = "ok"
-            if entry.configurations_changed:
-                verdict = "SWEEP CHANGED"
-            elif entry.regressed:
-                verdict = "REGRESSED"
-            table.add_row(
-                entry.experiment_id,
-                round(entry.baseline_seconds, 4),
-                round(entry.measured_seconds, 4),
-                round(entry.ratio, 3),
-                verdict,
-            )
-        print(table, file=sys.stderr)
-        if not comparison.ok:
-            slowest = ", ".join(e.experiment_id for e in comparison.regressions)
-            print(
-                f"bench PERF REGRESSION: {slowest} exceeded "
-                f"{comparison.tolerance:g}x of the committed baseline "
-                f"({args.compare}); report: {report_path}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"bench perf OK: {len(comparison.entries)} experiment(s) within "
-            f"{comparison.tolerance:g}x of baseline; report: {report_path}",
-            file=sys.stderr,
-        )
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_audit(args) -> int:
@@ -793,7 +609,6 @@ def _cmd_audit(args) -> int:
 def _audit_body(args) -> int:
     import json
 
-    from repro.exceptions import ValidationError
     from repro.experiments import ResultTable
     from repro.privacy import ExactPrivacyAuditor
     from repro.testing import AUDIT_FAMILIES, build_audit, run_audit
@@ -1006,14 +821,9 @@ def _cmd_lint(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.exceptions import ValidationError
     from repro.observability import load_trace, render_trace
 
-    try:
-        payload = load_trace(args.path)
-    except ValidationError as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
+    payload = load_trace(args.path)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -1038,7 +848,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValidationError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

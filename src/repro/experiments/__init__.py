@@ -21,14 +21,6 @@ from repro.experiments.manifest import (
     RunManifest,
     load_manifest,
 )
-from repro.experiments.perf import (
-    PERF_SCHEMA_VERSION,
-    PerfBaseline,
-    PerfComparison,
-    compare_to_baseline,
-    fresh_measurements,
-    load_baseline,
-)
 from repro.experiments.plotting import ascii_curve
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -47,27 +39,21 @@ from repro.experiments.tables import ResultTable
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "PERF_SCHEMA_VERSION",
     "BenchSpec",
     "BenchmarkEngine",
     "ConfigurationRecord",
     "EXPERIMENTS",
     "Experiment",
     "ExperimentResult",
-    "PerfBaseline",
-    "PerfComparison",
     "ResultCache",
     "ResultTable",
     "RunManifest",
     "ascii_curve",
     "canonical_parameters",
     "code_digest",
-    "compare_to_baseline",
     "expand_grid",
     "experiment_span",
-    "fresh_measurements",
     "get_experiment",
-    "load_baseline",
     "load_bench_spec",
     "load_manifest",
     "reseed",

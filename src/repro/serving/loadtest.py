@@ -22,6 +22,7 @@ import asyncio
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,8 @@ _REPORT_KEYS = ("schema_version", "loadtest_id", "spec", "deterministic",
                 "wall_clock")
 _DETERMINISTIC_KEYS = ("requests", "outcomes", "outputs_digest",
                        "simulated_seconds", "latency", "tenants", "serving")
+#: A load-test id names a file, so it may not hold a path separator.
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ class LoadTestSpec:
     Parameters
     ----------
     loadtest_id:
-        Identifier stamped on the report (``LOADTEST_<id>.json``).
+        Identifier stamped on the report (``LOADTEST_<id>.json``): a
+        letter or digit, then letters, digits, ``_``, ``.`` or ``-``.
     clients:
         Number of concurrent simulated clients.
     requests_per_client:
@@ -116,8 +120,13 @@ class LoadTestSpec:
     batching: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.loadtest_id, str) or not self.loadtest_id:
-            raise ValidationError("loadtest_id must be a non-empty string")
+        if not isinstance(self.loadtest_id, str) or not _ID_PATTERN.fullmatch(
+            self.loadtest_id
+        ):
+            raise ValidationError(
+                f"loadtest_id must match {_ID_PATTERN.pattern}, "
+                f"got {self.loadtest_id!r}"
+            )
         for name in ("clients", "requests_per_client", "tenants", "candidates"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:

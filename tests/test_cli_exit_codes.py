@@ -330,6 +330,25 @@ class TestTraceCli:
         assert "experiment:E14" in show.stdout
 
 
+class TestValidationErrorsExitTwo:
+    """A ``ValidationError`` from any command is a usage error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tradeoff", "--epsilon", "nan"], "tradeoff: epsilon must be finite"),
+            (["tradeoff", "--p", "2"], "tradeoff: p must lie in"),
+            (["release", "--epsilon", "inf"], "release: epsilon must be finite"),
+            (["serve", "--clients", "0"], "serve: clients must be"),
+        ],
+    )
+    def test_one_line_message_and_exit_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+
 class TestAuditSummaryExitCodes:
     @pytest.mark.parametrize("document", ["[1, 2]", '"text"', "3", "{}"])
     def test_non_report_document_exits_two(self, capsys, tmp_path, document):

@@ -188,6 +188,11 @@ class TestReportSchema:
             LoadTestSpec(mean_think=-1.0)
         with pytest.raises(ValidationError):
             run_loadtest({"clients": 4})
+        for bad_id in ("", "../x", "a/b", "a\\b", ".hidden", "-x", "a b", 7):
+            with pytest.raises(ValidationError, match="loadtest_id"):
+                LoadTestSpec(loadtest_id=bad_id)
+        for good_id in ("smoke", "a", "run-2.v1_b"):
+            assert LoadTestSpec(loadtest_id=good_id).loadtest_id == good_id
 
 
 class TestCli:
@@ -204,93 +209,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "LOADTEST_cli.json" in err
 
-    def test_loadtest_compare_gates_against_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "perf_baseline.json"
-        run = [
-            "loadtest", "--id", "cli", "--clients", "4",
-            "--requests-per-client", "2", "--seed", "2",
-            "--output-dir", str(tmp_path),
-        ]
-        # Fresh run to learn the workload size, then bless a baseline.
-        assert main(run) == 0
-        report = json.loads((tmp_path / "LOADTEST_cli.json").read_text())
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "note": "test",
-                    "experiments": {
-                        "LOADTEST_cli": {
-                            "seconds": report["wall_clock"]["seconds"],
-                            "configurations": 8,
-                        }
-                    },
-                }
-            )
-        )
-        assert main(run + ["--compare", str(baseline)]) == 0
-        assert "loadtest perf OK" in capsys.readouterr().err
-        # An absurdly fast blessed time must trip the gate.
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "note": "test",
-                    "experiments": {
-                        "LOADTEST_cli": {
-                            "seconds": 1e-9, "configurations": 8
-                        }
-                    },
-                }
-            )
-        )
-        assert main(run + ["--compare", str(baseline)]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-    def test_loadtest_compare_workload_change_exits_one(self, tmp_path, capsys):
-        # 4 clients x 2 requests = 8 requests; the baseline blessed 9, so
-        # the ratio would compare different workloads. Generous seconds
-        # keep the verdict about the drift alone.
-        baseline = tmp_path / "perf_baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "note": "test",
-                    "experiments": {
-                        "LOADTEST_cli": {"seconds": 1e9, "configurations": 9}
-                    },
-                }
-            )
-        )
-        code = main(
-            [
-                "loadtest", "--id", "cli", "--clients", "4",
-                "--requests-per-client", "2", "--seed", "2",
-                "--output-dir", str(tmp_path), "--compare", str(baseline),
-            ]
-        )
-        assert code == 1
-        assert "workload changed (8 requests vs 9" in capsys.readouterr().err
-
-    def test_loadtest_compare_missing_entry_is_usage_error(self, tmp_path):
-        baseline = tmp_path / "perf_baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "note": "test",
-                    "experiments": {"E5": {"seconds": 1.0}},
-                }
-            )
-        )
-        code = main(
-            [
-                "loadtest", "--id", "cli", "--clients", "4", "--seed", "2",
-                "--output-dir", str(tmp_path), "--compare", str(baseline),
-            ]
-        )
+    def test_loadtest_id_with_path_separator_exits_two(self, tmp_path, capsys):
+        code = main(["loadtest", "--id", "../x", "--output-dir", str(tmp_path)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loadtest: loadtest_id must match")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_demo_exits_zero(self, capsys):
         code = main(
