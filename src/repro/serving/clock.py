@@ -8,8 +8,8 @@ service code runs in two modes:
   time for real deployments;
 * :class:`SimulatedClock` owns a virtual timeline: ``sleep`` registers a
   deadline in a heap and time only moves when the driver advances it to
-  the next deadline, after the event loop has *quiesced* (no task made
-  progress over several consecutive zero-sleeps). A fleet of thousands of
+  the next deadline, after the event loop has *quiesced* (its ready
+  queue is empty, so every task waits on a future). A fleet of thousands of
   simulated clients therefore runs in milliseconds of wall time, in an
   order fully determined by the (seeded) workload — the property the
   load-test harness's bit-identical reports rest on.
@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 import time
 
-from repro.exceptions import ServingError, ServingTimeoutError
+from repro.exceptions import ServingError, ServingTimeoutError, ValidationError
 
 __all__ = ["Clock", "SimulatedClock", "SystemClock"]
 
@@ -118,7 +119,7 @@ class SimulatedClock(Clock):
     wake order is a pure function of the workload.
 
     Use :meth:`run` to execute a coroutine to completion under this
-    clock; it owns the advance loop (quiesce, then jump to the next
+    clock; it owns the advance loop (settle, then jump to the next
     deadline) and raises :class:`~repro.exceptions.ServingError` on a
     deadlock — tasks still pending with no timer left to fire.
     """
@@ -140,8 +141,12 @@ class SimulatedClock(Clock):
         ----------
         seconds:
             Non-negative virtual delay; 0 yields once without filing a
-            deadline.
+            deadline. NaN raises
+            :class:`~repro.exceptions.ValidationError`, because a NaN
+            deadline breaks the heap order.
         """
+        if math.isnan(seconds):
+            raise ValidationError("sleep seconds must not be NaN")
         self._activity += 1
         if seconds <= 0:
             await asyncio.sleep(0)
@@ -173,35 +178,51 @@ class SimulatedClock(Clock):
             return self._now
         raise ServingError("no pending deadline to advance to")
 
-    async def _quiesce(self) -> None:
-        """Yield until every runnable task has run out of work.
+    def _advance_or_finish(self, task: asyncio.Future) -> bool:
+        """On a settled loop: report ``task`` done, or advance the clock.
 
-        The exact signal is the event loop's ready queue: when the
-        driver wakes from a zero-sleep and nothing else is queued, every
-        other task is suspended on a future (a clock deadline or a peer),
-        so only advancing time can create progress. The queue attribute
-        is CPython's ``_ready``; on loops without it, fall back to
-        counting clock-activity-stable passes with a generous margin.
+        Raises :class:`~repro.exceptions.ServingError` (cancelling
+        ``task``) when it is pending but no live deadline can wake it.
         """
-        ready = getattr(asyncio.get_running_loop(), "_ready", None)
-        if ready is not None:
-            while True:
+        if task.done():
+            return True
+        if not any(not f.cancelled() for _, _, f in self._heap):
+            task.cancel()
+            raise ServingError(
+                "simulated-clock deadlock: tasks pending but no "
+                "timer is scheduled to wake them"
+            )
+        self.advance_to_next()
+        return False
+
+    async def _drive_by_passes(self, task: asyncio.Future):
+        """Fallback advance loop for loops whose ready queue is hidden.
+
+        Calls the loop settled after ``_QUIESCE_STABLE_PASSES``
+        consecutive zero-sleeps without clock activity.
+        """
+        while True:
+            stable = 0
+            while stable < _QUIESCE_STABLE_PASSES:
+                before = self._activity
                 await asyncio.sleep(0)
-                if not ready:
-                    return
-        stable = 0
-        while stable < _QUIESCE_STABLE_PASSES:
-            before = self._activity
-            await asyncio.sleep(0)
-            stable = stable + 1 if self._activity == before else 0
+                stable = stable + 1 if self._activity == before else 0
+            if self._advance_or_finish(task):
+                return task.result()
 
     def run(self, coroutine):
         """Execute ``coroutine`` to completion under this clock.
 
-        Alternates quiescing the event loop with advancing the clock to
-        the next deadline until the coroutine finishes. A pending
-        coroutine with an empty deadline heap is a deadlock and raises
-        :class:`~repro.exceptions.ServingError` rather than hanging.
+        A ``tick`` callback drives time. The event loop's ready queue is
+        the exact settle signal (CPython's ``_ready``): while it holds
+        callbacks, ``tick`` re-queues itself behind them; once it is
+        empty, every task is suspended on a future (a clock deadline or a
+        peer), so ``tick`` advances the clock to the next deadline and
+        re-queues itself behind the callbacks that woke. A pending
+        coroutine with no live deadline left is a deadlock and raises
+        :class:`~repro.exceptions.ServingError` rather than hanging. On
+        loops without ``_ready``, a coroutine counts activity-stable
+        passes instead.
 
         Parameters
         ----------
@@ -210,17 +231,28 @@ class SimulatedClock(Clock):
         """
 
         async def _drive():
+            loop = asyncio.get_running_loop()
             task = asyncio.ensure_future(coroutine)
-            while True:
-                await self._quiesce()
-                if task.done():
-                    return task.result()
-                if not any(not f.cancelled() for _, _, f in self._heap):
-                    task.cancel()
-                    raise ServingError(
-                        "simulated-clock deadlock: tasks pending but no "
-                        "timer is scheduled to wake them"
-                    )
-                self.advance_to_next()
+            ready = getattr(loop, "_ready", None)
+            if ready is None:
+                return await self._drive_by_passes(task)
+            finished = loop.create_future()
+
+            def tick():
+                if ready:
+                    loop.call_soon(tick)
+                    return
+                try:
+                    if self._advance_or_finish(task):
+                        finished.set_result(None)
+                        return
+                except ServingError as error:  # deadlock, re-raised below
+                    finished.set_exception(error)
+                    return
+                loop.call_soon(tick)
+
+            loop.call_soon(tick)
+            await finished
+            return task.result()
 
         return asyncio.run(_drive())

@@ -44,7 +44,7 @@ from repro.serving.clock import SimulatedClock, SystemClock
 from repro.serving.service import ReleaseService, ServiceConfig
 from repro.serving.tenants import TenantRegistry
 from repro.testing.statistical import derive_seed
-from repro.utils.validation import check_random_state
+from repro.utils.validation import check_positive, check_random_state
 
 __all__ = [
     "LOADTEST_SCHEMA_VERSION",
@@ -136,8 +136,8 @@ class LoadTestSpec:
                 f"mechanism must be 'laplace' or 'exponential', "
                 f"got {self.mechanism!r}"
             )
-        if self.mean_think < 0:
-            raise ValidationError("mean_think must be >= 0")
+        check_positive(self.mean_think, name="mean_think", strict=False)
+        check_positive(self.flush_window, name="flush_window", strict=False)
 
     def to_dict(self) -> dict:
         """The spec as a JSON-serializable dict."""
@@ -199,7 +199,7 @@ async def _client(spec, service, clock, dataset, client_index, records):
         if spec.mean_think > 0:
             await clock.sleep(float(rng.uniform(0.0, 2.0 * spec.mean_think)))
         started = clock.now()
-        outputs: list = []
+        outputs = ()
         try:
             outputs = await service.submit(
                 tenant_id, spec.mechanism, dataset, n=1
@@ -211,12 +211,14 @@ async def _client(spec, service, clock, dataset, client_index, records):
             outcome = "timeout"
         except ServingError:
             outcome = "error"
+        # A row of atoms only (outputs as a tuple of floats), so the
+        # collector untracks it instead of rescanning every row.
         records.append(
             (
                 client_index,
                 request_index,
                 outcome,
-                [float(value) for value in outputs],
+                tuple(map(float, outputs)),
                 clock.now() - started,
             )
         )
@@ -275,7 +277,7 @@ def _report(spec, service, records, tracer, simulated_seconds, wall_seconds):
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         latency.observe(seconds)
         digest.update(
-            repr((client_index, request_index, outcome, outputs)).encode()
+            repr((client_index, request_index, outcome, list(outputs))).encode()
         )
     tenants = []
     for tenant_id in service.registry.tenant_ids():

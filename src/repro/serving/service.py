@@ -43,9 +43,14 @@ from repro.observability import tracer as _trace
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.tenants import Tenant, TenantRegistry
 from repro.testing.statistical import derive_seed
-from repro.utils.validation import check_random_state
+from repro.utils.validation import check_positive, check_random_state
 
 __all__ = ["ReleaseService", "ServiceConfig"]
+
+#: Priced (tenant, mechanism, n) keys kept before the cost cache restarts.
+#: ``n`` comes from the caller, so an unbounded cache would let a client
+#: grow it with one refused request per distinct ``n``.
+_COST_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,11 @@ class ServiceConfig:
     batching: bool = True
 
     def __post_init__(self) -> None:
-        if self.flush_window < 0:
-            raise ValidationError("flush_window must be >= 0")
+        check_positive(self.flush_window, name="flush_window", strict=False)
         if not isinstance(self.max_batch, int) or self.max_batch < 1:
             raise ValidationError("max_batch must be an integer >= 1")
-        if self.request_timeout is not None and self.request_timeout <= 0:
-            raise ValidationError("request_timeout must be > 0 (or None)")
+        if self.request_timeout is not None:
+            check_positive(self.request_timeout, name="request_timeout")
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise ValidationError("max_retries must be an integer >= 0")
 
@@ -145,6 +149,8 @@ class ReleaseService:
         self.config = config if config is not None else ServiceConfig()
         self._mechanisms: dict[str, Mechanism] = {}
         self._open: dict[tuple, _Batch] = {}
+        # (tenant_id, mechanism_id, n) -> (cost, ledger label), built once.
+        self._costs: dict[tuple, tuple[PrivacySpec, str]] = {}
         self._inflight: set[asyncio.Task] = set()
         self._batch_count = 0
         self._closed = False
@@ -204,9 +210,17 @@ class ReleaseService:
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
 
-        spec = mechanism.privacy
-        cost = PrivacySpec(spec.epsilon * n, spec.delta * n)
-        label = f"serve:{tenant_id}:{mechanism_id}"
+        key = (tenant_id, mechanism_id, n)
+        priced = self._costs.get(key)
+        if priced is None:
+            if len(self._costs) >= _COST_CACHE_LIMIT:
+                self._costs.clear()
+            spec = mechanism.privacy
+            priced = self._costs[key] = (
+                PrivacySpec(spec.epsilon * n, spec.delta * n),
+                f"serve:{tenant_id}:{mechanism_id}",
+            )
+        cost, label = priced
         # Admission control: reserve before anything executes. Refusals
         # raise out of here with one ledger refusal event already emitted.
         tenant.accountant.charge(cost, label=label)

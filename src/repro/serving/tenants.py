@@ -14,7 +14,8 @@ provides the bookkeeping the front door composes:
   a charge is refused when no single shard can afford it, which can
   happen slightly before the pooled remainder is exhausted (never
   after). Refusals are reported exactly once, by the sharded front, not
-  once per probed shard.
+  once per probed shard. Once every shard has refused a spec, any spec at
+  least as large is refused in O(1), without probing, until a refund.
 * :class:`Tenant` pairs the accountant with a persistent, seeded
   generator, so a tenant's releases form one deterministic RNG stream
   across requests and batches.
@@ -65,6 +66,13 @@ class ShardedAccountant:
         ]
         self._cursor = 0
         self._cursor_lock = threading.Lock()
+        # Refusal memo: the last spec every shard refused, cleared by each
+        # refund. Between refunds shard spends only grow, so a spec at
+        # least as large in both ε and δ is refused by every shard too.
+        # ``_refunds`` counts refunds, so a sweep that raced one (and may
+        # have probed a shard before its capacity came back) sets no memo.
+        self._refused: PrivacySpec | None = None
+        self._refunds = 0
 
     @property
     def shards(self) -> int:
@@ -104,7 +112,10 @@ class ShardedAccountant:
         single atomic
         :meth:`~repro.mechanisms.PrivacyAccountant.try_charge`, so two
         racing charges can both succeed only if two shards can both
-        afford them — total spend never exceeds the tenant budget.
+        afford them — total spend never exceeds the tenant budget. A spec
+        no smaller than one every shard refused since the last refund is
+        refused without probing; the cursor still advances, so later
+        charges land on the same shards as after a full scan.
 
         Parameters
         ----------
@@ -113,13 +124,25 @@ class ShardedAccountant:
         label:
             Ledger label recorded with the expenditure.
         """
+        shards = self._shards
         with self._cursor_lock:
             start = self._cursor
-            self._cursor = (self._cursor + 1) % len(self._shards)
-        for offset in range(len(self._shards)):
-            shard = self._shards[(start + offset) % len(self._shards)]
-            if shard.try_charge(spec, label=label):
+            self._cursor = (start + 1) % len(shards)
+            refused = self._refused
+            refunds = self._refunds
+        if (
+            refused is not None
+            and isinstance(spec, PrivacySpec)
+            and spec.epsilon >= refused.epsilon
+            and spec.delta >= refused.delta
+        ):
+            return False
+        for offset in range(len(shards)):
+            if shards[(start + offset) % len(shards)].try_charge(spec, label=label):
                 return True
+        with self._cursor_lock:
+            if self._refunds == refunds:
+                self._refused = spec
         return False
 
     def charge(self, spec: PrivacySpec, *, label: str = "release") -> None:
@@ -134,6 +157,7 @@ class ShardedAccountant:
         """
         if self.try_charge(spec, label=label):
             return
+        remaining = self.remaining_epsilon
         tracer = _trace.current()
         if tracer is not None:
             tracer.record(
@@ -141,14 +165,14 @@ class ShardedAccountant:
                     label=label,
                     epsilon=spec.epsilon,
                     delta=spec.delta,
-                    remaining_epsilon=self.remaining_epsilon,
+                    remaining_epsilon=remaining,
                     remaining_delta=self.remaining_delta,
                 )
             )
             tracer.count("accountant.refusals")
         raise PrivacyBudgetError(
             f"cannot afford {spec}: no budget shard can cover it "
-            f"(pooled remaining ε={self.remaining_epsilon:.6g} across "
+            f"(pooled remaining ε={remaining:.6g} across "
             f"{len(self._shards)} shard(s))"
         )
 
@@ -156,8 +180,8 @@ class ShardedAccountant:
         """Roll back a reservation previously charged to some shard.
 
         Scans shards for the most recent matching ``(label, spec)`` entry
-        and refunds it there. Only ever call this for work that provably
-        did not release (see
+        and refunds it there, then clears the refusal memo. Only ever call
+        this for work that provably did not release (see
         :meth:`~repro.mechanisms.PrivacyAccountant.refund`).
 
         Parameters
@@ -173,6 +197,9 @@ class ShardedAccountant:
                 for entry in shard.ledger()
             ):
                 shard.refund(spec, label=label)
+                with self._cursor_lock:
+                    self._refunds += 1
+                    self._refused = None
                 return
         raise ValidationError(
             f"no recorded charge {spec} labelled {label!r} to refund"

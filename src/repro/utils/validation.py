@@ -7,6 +7,7 @@ can validate its inputs in one line each.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -71,10 +72,13 @@ def check_array(
 
 def check_positive(value, *, name: str = "value", strict: bool = True) -> float:
     """Validate that a scalar is (strictly) positive and finite."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
+    # Exact floats skip the (slow) ABC instance check; subclasses such as
+    # ``np.float64`` take the general path.
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
     if strict and value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
@@ -92,9 +96,10 @@ def check_in_range(
     inclusive: bool = True,
 ) -> float:
     """Validate that a scalar lies in ``[low, high]`` (or ``(low, high)``)."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
     if inclusive:
         ok = low <= value <= high
         bounds = f"[{low}, {high}]"

@@ -317,11 +317,24 @@ class TestConcurrentAccountant:
         accountant = ShardedAccountant(PrivacySpec(epsilon=1.0), shards=4)
         spec = PrivacySpec(self.EPS)
         successes = [0] * self.THREADS
+        refunds_done = threading.Event()
 
         def worker(index):
+            if index == 0:
+                # The refund thread: reserve and roll back while the
+                # others charge, clearing the refusal memo under them.
+                for _ in range(300):
+                    if accountant.try_charge(spec, label="refund"):
+                        accountant.refund(spec, label="refund")
+                refunds_done.set()
+                return
             for _ in range(300):
                 if accountant.try_charge(spec):
                     successes[index] += 1
+            # Take the capacity the last refunds handed back.
+            assert refunds_done.wait(timeout=60)
+            while accountant.try_charge(spec):
+                successes[index] += 1
 
         self._hammer(worker)
         assert sum(successes) == 1024

@@ -154,6 +154,41 @@ class TestBudgetSafety:
         for tenant in deterministic["tenants"]:
             assert tenant["spent_epsilon"] == 0.0
 
+    def test_refusals_interleaved_with_refunds_are_pinned(self):
+        """Budgets run out while queued timeouts keep refunding, so each
+        tenant is refused, refunded and admitted again in turn. The
+        digest and spends were recorded before the shard refusal memo
+        existed; a memo or cursor that drifts across refunds moves them."""
+        spec = LoadTestSpec(
+            loadtest_id="refunds",
+            clients=100,
+            requests_per_client=20,
+            tenants=4,
+            seed=5,
+            epsilon=0.05,
+            budget_epsilon=12.0,
+            shards=4,
+            mean_think=0.05,
+            flush_window=0.02,
+            max_batch=6,
+            request_timeout=0.012,
+        )
+        deterministic = run_loadtest(spec)["deterministic"]
+        assert deterministic["outcomes"] == {
+            "ok": 960, "refused": 883, "timeout": 157
+        }
+        assert deterministic["serving"] == {
+            "flushes": 191, "coalesced_requests": 954, "released": 960,
+            "timeouts": 157, "batch_failures": 0, "refusals": 883,
+        }
+        assert deterministic["outputs_digest"] == (
+            "e3adacc2e8a075492b69f9fb1c9951f9553c03cbe57b01294955dd42716fc44c"
+        )
+        assert [t["spent_epsilon"] for t in deterministic["tenants"]] == [
+            11.99999999999999
+        ] * 4
+        assert deterministic["simulated_seconds"] == 1.431075503789868
+
 
 class TestReportSchema:
     def test_write_and_validate_roundtrip(self, tmp_path):
@@ -186,6 +221,11 @@ class TestReportSchema:
             LoadTestSpec(mechanism="gaussian")
         with pytest.raises(ValidationError):
             LoadTestSpec(mean_think=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="mean_think"):
+                LoadTestSpec(mean_think=bad)
+            with pytest.raises(ValidationError, match="flush_window"):
+                LoadTestSpec(flush_window=bad)
         with pytest.raises(ValidationError):
             run_loadtest({"clients": 4})
         for bad_id in ("", "../x", "a/b", "a\\b", ".hidden", "-x", "a b", 7):

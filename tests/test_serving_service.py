@@ -13,6 +13,7 @@ import asyncio
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
 from repro.exceptions import (
     PrivacyBudgetError,
     ServiceClosedError,
@@ -20,7 +21,7 @@ from repro.exceptions import (
     ServingTimeoutError,
     ValidationError,
 )
-from repro.mechanisms import LaplaceMechanism, PrivacySpec
+from repro.mechanisms import LaplaceMechanism, PrivacyAccountant, PrivacySpec
 from repro.observability import Tracer, ledger_totals, tracing
 from repro.serving import (
     ReleaseService,
@@ -131,6 +132,71 @@ class TestSimulatedClock:
         with pytest.raises(ServingError, match="deadlock"):
             clock.run(main())
 
+    def test_nan_sleep_is_rejected(self):
+        # A NaN deadline would break the heap order.
+        clock = SimulatedClock()
+
+        async def main():
+            with pytest.raises(ValidationError, match="NaN"):
+                await clock.sleep(float("nan"))
+            return clock.now()
+
+        assert clock.run(main()) == 0.0
+
+    def test_pass_counting_fallback_matches_the_tick(self):
+        # The pass-counting fallback, for loops without an inspectable
+        # ready queue, wakes sleepers in the same order as the tick.
+        def wakes_under(drive):
+            clock = SimulatedClock()
+            wakes = []
+
+            async def sleeper(name, seconds):
+                await clock.sleep(seconds)
+                await clock.sleep(seconds)
+                wakes.append((name, clock.now()))
+
+            async def main():
+                await asyncio.gather(
+                    sleeper("slow", 3.0), sleeper("fast", 1.0),
+                    sleeper("tie-a", 2.0), sleeper("tie-b", 2.0),
+                )
+                return clock.now()
+
+            return drive(clock, main()), wakes
+
+        def by_passes(clock, coroutine):
+            async def harness():
+                task = asyncio.ensure_future(coroutine)
+                return await clock._drive_by_passes(task)
+
+            return asyncio.run(harness())
+
+        assert wakes_under(by_passes) == wakes_under(
+            lambda clock, coroutine: clock.run(coroutine)
+        ) == (6.0, [("fast", 2.0), ("tie-a", 4.0), ("tie-b", 4.0),
+                    ("slow", 6.0)])
+
+
+def count_shard_probes(monkeypatch) -> list[int]:
+    """Spy on per-shard probes; the returned one-item list is the count."""
+    probes = [0]
+    original = PrivacyAccountant.try_charge
+
+    def spying_try_charge(self, spec, *, label="release"):
+        probes[0] += 1
+        return original(self, spec, label=label)
+
+    monkeypatch.setattr(PrivacyAccountant, "try_charge", spying_try_charge)
+    return probes
+
+
+def half_spent(budget=PrivacySpec(4.0)) -> ShardedAccountant:
+    """Four shards, shard ``i`` holding one 0.5 charge labelled ``ri``."""
+    accountant = ShardedAccountant(budget, shards=4)
+    for label in ("r0", "r1", "r2", "r3"):
+        accountant.charge(PrivacySpec(0.5), label=label)
+    return accountant
+
 
 class TestShardedAccountant:
     def test_budget_is_split_and_enforced(self):
@@ -170,6 +236,70 @@ class TestShardedAccountant:
         accountant = ShardedAccountant(PrivacySpec(1.0), shards=2)
         assert not accountant.try_charge(PrivacySpec(0.6))
         assert accountant.spent_epsilon == 0.0
+
+
+class TestRefusalMemo:
+    """Once every shard refused a spec, larger specs skip the probes."""
+
+    def test_exhausted_tenant_refuses_without_probing(self, monkeypatch):
+        accountant = ShardedAccountant(PrivacySpec(1.0), shards=4)
+        spec = PrivacySpec(0.25)
+        for _ in range(4):
+            accountant.charge(spec)
+        probes = count_shard_probes(monkeypatch)
+        with pytest.raises(PrivacyBudgetError):
+            accountant.charge(spec)
+        assert probes[0] == 4
+        tracer = Tracer("memo-refusals")
+        k = 7
+        with tracing(tracer):
+            for _ in range(k):
+                with pytest.raises(PrivacyBudgetError, match="no budget shard"):
+                    accountant.charge(spec)
+        assert probes[0] == 4
+        refusals = [e for e in tracer.events if e.kind == "refusal"]
+        assert len(refusals) == k
+        assert all(e.remaining_epsilon == 0.0 for e in refusals)
+        assert tracer.metrics.counter("accountant.refusals") == k
+        assert accountant.spent_epsilon == 1.0
+
+    def test_refund_clears_the_memo(self):
+        accountant = half_spent()
+        with pytest.raises(PrivacyBudgetError):
+            accountant.charge(PrivacySpec(0.75))
+        accountant.refund(PrivacySpec(0.5), label="r2")
+        accountant.charge(PrivacySpec(0.75), label="big")
+        assert [entry.label for entry in accountant.ledger()] == [
+            "r0", "r1", "big", "r3"
+        ]
+
+    def test_memo_refusals_advance_the_cursor_like_full_scans(self):
+        accountant = half_spent()  # cursor back at shard 0
+        for _ in range(6):  # one full scan, five memo refusals
+            assert not accountant.try_charge(PrivacySpec(0.75))
+        accountant.refund(PrivacySpec(0.5), label="r0")
+        # Ten calls so far: the cursor is at shard 2, which can afford
+        # 0.5; a memo that skipped the cursor would land on shard 1.
+        accountant.charge(PrivacySpec(0.5), label="next")
+        assert [entry.label for entry in accountant.ledger()] == [
+            "r1", "r2", "next", "r3"
+        ]
+
+    def test_memo_is_per_spec(self, monkeypatch):
+        accountant = half_spent(PrivacySpec(4.0, 0.4))
+        probes = count_shard_probes(monkeypatch)
+        assert not accountant.try_charge(PrivacySpec(0.75, 0.05))
+        assert probes[0] == 4
+        # At least as large in ε and δ: refused without a probe.
+        assert not accountant.try_charge(PrivacySpec(0.8, 0.05))
+        assert probes[0] == 4
+        # Smaller in δ only, or in ε: probed afresh.
+        assert not accountant.try_charge(PrivacySpec(0.8))
+        assert probes[0] == 8
+        assert not accountant.try_charge(PrivacySpec(0.6, 0.05))
+        assert probes[0] == 12
+        assert accountant.try_charge(PrivacySpec(0.5), label="fits")
+        assert probes[0] == 13
 
 
 class TestTenantRegistry:
@@ -315,6 +445,23 @@ class TestAdmissionControl:
 
         clock.run(main())
 
+    def test_refused_costs_cannot_grow_the_cost_cache(self, monkeypatch):
+        # Each distinct n is priced once; a stream of refused requests
+        # with fresh n values restarts the cache instead of growing it.
+        monkeypatch.setattr(service_module, "_COST_CACHE_LIMIT", 3)
+        clock = SimulatedClock()
+        service = make_service(clock, budget=PrivacySpec(1.0), shards=1)
+
+        async def main():
+            for n in range(10, 20):
+                with pytest.raises(PrivacyBudgetError):
+                    await service.submit("alice", "sum", DATASET, n=n)
+                assert len(service._costs) <= 3
+            return await service.submit("alice", "sum", DATASET, n=2)
+
+        assert len(clock.run(main())) == 2
+        assert service.registry.get("alice").accountant.spent_epsilon == 1.0
+
 
 class TestShutdown:
     def test_drain_flushes_pending_batches_early(self):
@@ -347,6 +494,11 @@ class TestShutdown:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             ServiceConfig(flush_window=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="flush_window"):
+                ServiceConfig(flush_window=bad)
+            with pytest.raises(ValidationError, match="request_timeout"):
+                ServiceConfig(request_timeout=bad)
         with pytest.raises(ValidationError):
             ServiceConfig(max_batch=0)
         with pytest.raises(ValidationError):
