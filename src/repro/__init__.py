@@ -27,7 +27,14 @@ Quickstart::
     learner = GibbsEstimator.from_privacy(grid, epsilon=1.0,
                                           expected_sample_size=100)
     theta = learner.release(list(sample), random_state=0)
+
+Every export other than the exceptions and ``__version__`` is imported on
+first use (PEP 562), so ``import repro`` loads no subpackage and a program
+that needs only :mod:`repro.serving` or :mod:`repro.mechanisms` never pays
+for SciPy.
 """
+
+from importlib import import_module as _import_module
 
 from repro.exceptions import (
     ConvergenceError,
@@ -37,55 +44,6 @@ from repro.exceptions import (
     ReproError,
     SensitivityError,
     ValidationError,
-)
-from repro.distributions import DiscreteDistribution
-from repro.information import (
-    DiscreteChannel,
-    channel_capacity,
-    entropy,
-    kl_divergence,
-    mutual_information_from_joint,
-    rate_distortion,
-)
-from repro.mechanisms import (
-    ExponentialMechanism,
-    GaussianMechanism,
-    GeometricMechanism,
-    LaplaceMechanism,
-    Mechanism,
-    PrivacyAccountant,
-    PrivacySpec,
-    RandomizedResponse,
-)
-from repro.privacy import ExactPrivacyAuditor
-from repro.testing import StatisticalAuditReport, assert_dp, audit_mechanism
-from repro.learning import (
-    BernoulliTask,
-    GaussianThresholdTask,
-    LinearSVM,
-    LogisticRegressionModel,
-    LogisticTask,
-    PredictorGrid,
-    TwoGaussiansTask,
-)
-from repro.core import (
-    ContinuousGibbsPosterior,
-    GibbsEstimator,
-    GibbsPosterior,
-    LearningChannel,
-    catoni_bound,
-    evaluate_all_bounds,
-    mcallester_bound,
-    minimize_tradeoff,
-    seeger_bound,
-    tradeoff_curve,
-)
-from repro.private_learning import (
-    ExponentialMechanismLearner,
-    GibbsERMClassifier,
-    ObjectivePerturbationClassifier,
-    OutputPerturbationClassifier,
-    RegularizedExponentialMechanism,
 )
 
 __version__ = "1.0.0"
@@ -141,3 +99,66 @@ __all__ = [
     "tradeoff_curve",
     "__version__",
 ]
+
+#: Each lazily exported name and the subpackage that defines it.
+_LAZY_EXPORTS = {
+    "DiscreteDistribution": "repro.distributions",
+    "DiscreteChannel": "repro.information",
+    "channel_capacity": "repro.information",
+    "entropy": "repro.information",
+    "kl_divergence": "repro.information",
+    "mutual_information_from_joint": "repro.information",
+    "rate_distortion": "repro.information",
+    "ExponentialMechanism": "repro.mechanisms",
+    "GaussianMechanism": "repro.mechanisms",
+    "GeometricMechanism": "repro.mechanisms",
+    "LaplaceMechanism": "repro.mechanisms",
+    "Mechanism": "repro.mechanisms",
+    "PrivacyAccountant": "repro.mechanisms",
+    "PrivacySpec": "repro.mechanisms",
+    "RandomizedResponse": "repro.mechanisms",
+    "ExactPrivacyAuditor": "repro.privacy",
+    "StatisticalAuditReport": "repro.testing",
+    "assert_dp": "repro.testing",
+    "audit_mechanism": "repro.testing",
+    "BernoulliTask": "repro.learning",
+    "GaussianThresholdTask": "repro.learning",
+    "LinearSVM": "repro.learning",
+    "LogisticRegressionModel": "repro.learning",
+    "LogisticTask": "repro.learning",
+    "PredictorGrid": "repro.learning",
+    "TwoGaussiansTask": "repro.learning",
+    "ContinuousGibbsPosterior": "repro.core",
+    "GibbsEstimator": "repro.core",
+    "GibbsPosterior": "repro.core",
+    "LearningChannel": "repro.core",
+    "catoni_bound": "repro.core",
+    "evaluate_all_bounds": "repro.core",
+    "mcallester_bound": "repro.core",
+    "minimize_tradeoff": "repro.core",
+    "seeger_bound": "repro.core",
+    "tradeoff_curve": "repro.core",
+    "ExponentialMechanismLearner": "repro.private_learning",
+    "GibbsERMClassifier": "repro.private_learning",
+    "ObjectivePerturbationClassifier": "repro.private_learning",
+    "OutputPerturbationClassifier": "repro.private_learning",
+    "RegularizedExponentialMechanism": "repro.private_learning",
+}
+
+
+def __getattr__(name: str):
+    """Import the subpackage behind a lazy export and cache the value."""
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """Module attributes, including exports not yet imported."""
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

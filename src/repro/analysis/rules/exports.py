@@ -5,6 +5,11 @@ check exactly the names exported there. A missing ``__all__`` makes
 ``from repro.mechanisms import *`` drag in submodules and helpers; a stale
 one either advertises names that do not exist (import-time breakage for
 consumers) or hides public objects from the audit surface.
+
+A package that imports its exports lazily (PEP 562) binds them through a
+literal ``_LAZY_EXPORTS = {"Name": "repro.subpackage", ...}`` table read by
+a module-level ``__getattr__``. The table's keys count as bound names, and
+each key must itself be listed in ``__all__``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,38 @@ def _literal_all(tree: ast.Module) -> tuple[ast.AST, list[str]] | None:
     return None
 
 
+#: The module-level dict literal mapping lazily exported names to modules.
+LAZY_TABLE = "_LAZY_EXPORTS"
+
+
+def _lazy_keys(tree: ast.Module) -> list[str]:
+    """String keys of the literal lazy-export table.
+
+    Empty unless the module also defines ``__getattr__``, since without it
+    no key resolves.
+    """
+    if not any(
+        isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+        for node in tree.body
+    ):
+        return []
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == LAZY_TABLE
+                for target in node.targets
+            )
+            and isinstance(node.value, ast.Dict)
+        ):
+            return [
+                key.value
+                for key in node.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            ]
+    return []
+
+
 def _bound_names(tree: ast.Module) -> set[str]:
     """All names bound at module top level (defs, classes, imports,
     simple assignments)."""
@@ -73,8 +110,9 @@ class ExplicitExportsRule(Rule):
     id = "DPL005"
     name = "explicit-exports"
     description = (
-        "Every package __init__.py declares __all__, every entry is bound, "
-        "and every public imported/defined name is listed."
+        "Every package __init__.py declares __all__, every entry is bound "
+        "(or a key of its lazy-export table), and every public "
+        "imported/defined/lazy name is listed."
     )
     rationale = (
         "__all__ is the audited privacy-review surface: stale entries break "
@@ -101,10 +139,11 @@ class ExplicitExportsRule(Rule):
             )
             return
         node, entries = found
+        lazy = set(_lazy_keys(ctx.tree))
         bound = _bound_names(ctx.tree)
-        public = {name for name in bound if public_name(name)}
+        public = {name for name in bound if public_name(name)} | lazy
         ignored = set(self.option(ctx, "ignored_names"))
-        for phantom in sorted(set(entries) - bound):
+        for phantom in sorted(set(entries) - bound - lazy):
             yield self.finding(
                 ctx,
                 node,

@@ -12,7 +12,6 @@ are output-identical to serial ones.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import time
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ExperimentError, ValidationError
 from repro.observability import tracer as _trace
+from repro.utils.seeding import reseed
 
 __all__ = [
     "ExperimentResult",
@@ -52,26 +52,6 @@ class ExperimentResult:
         params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
         outputs = ", ".join(f"{k}={v}" for k, v in self.outputs.items())
         return f"{self.name}({params}) -> {outputs} [{self.seconds:.3f}s]"
-
-
-def reseed(seed: int, attempt: int) -> int:
-    """Deterministically re-derive a worker seed for a retry attempt.
-
-    Attempt 0 returns ``seed`` unchanged; attempt ``k > 0`` hashes
-    ``(seed, k)`` so a retried configuration gets a fresh but reproducible
-    RNG stream instead of replaying the exact draw that just failed.
-
-    Parameters
-    ----------
-    seed:
-        The configuration's original integer seed.
-    attempt:
-        Retry attempt number (0 = first try).
-    """
-    if attempt == 0:
-        return int(seed)
-    blob = f"repro.reseed:{int(seed)}:{int(attempt)}".encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
 def _invoke(fn: Callable[..., Mapping], parameters: Mapping) -> tuple:

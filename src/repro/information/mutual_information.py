@@ -14,8 +14,6 @@ Three routes, cross-validated in the test suite:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from repro.exceptions import ValidationError
 from repro.utils.numerics import xlogx
@@ -109,6 +107,11 @@ def mutual_information_ksg(
         raise ValidationError("x and y must be equal-length nonempty samples")
     if not 1 <= k < n:
         raise ValidationError("k must satisfy 1 <= k < n_samples")
+
+    # SciPy loads here, not at module level, so importing
+    # repro.information (and the serving layer above it) stays SciPy-free.
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
 
     # Tiny jitter breaks ties that would otherwise make the Chebyshev
     # epsilon-ball counts degenerate on discrete-valued inputs.

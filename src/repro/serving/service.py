@@ -37,12 +37,11 @@ from repro.exceptions import (
     ServingTimeoutError,
     ValidationError,
 )
-from repro.experiments.runner import reseed
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.observability import tracer as _trace
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.tenants import Tenant, TenantRegistry
-from repro.testing.statistical import derive_seed
+from repro.utils.seeding import derive_seed, reseed
 from repro.utils.validation import check_positive, check_random_state
 
 __all__ = ["ReleaseService", "ServiceConfig"]

@@ -35,7 +35,7 @@ from repro.mechanisms.accountant import LedgerEntry, PrivacyAccountant
 from repro.mechanisms.base import PrivacySpec
 from repro.observability import tracer as _trace
 from repro.observability.events import BudgetRefusalEvent
-from repro.testing.statistical import derive_seed
+from repro.utils.seeding import derive_seed
 from repro.utils.validation import check_random_state
 
 __all__ = ["ShardedAccountant", "Tenant", "TenantRegistry"]

@@ -24,15 +24,17 @@ def check_random_state(seed) -> np.random.Generator:
     Parameters
     ----------
     seed:
-        ``None`` (fresh nondeterministic generator), an ``int`` seed, a
-        ``numpy.random.Generator`` (returned unchanged), or a legacy
-        ``numpy.random.RandomState`` (wrapped).
+        ``None`` (fresh nondeterministic generator), a nonnegative ``int``
+        seed, a ``numpy.random.Generator`` (returned unchanged), or a legacy
+        ``numpy.random.RandomState`` (wrapped). Booleans are not seeds.
     """
     if seed is None:
         return np.random.default_rng()
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, numbers.Integral):
+    if isinstance(seed, numbers.Integral) and not isinstance(seed, bool):
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative (got {seed})")
         return np.random.default_rng(int(seed))
     if isinstance(seed, np.random.RandomState):
         # Bridge legacy RandomState into the Generator API.

@@ -52,7 +52,7 @@ def _run_module(*argv: str) -> subprocess.CompletedProcess:
 
 
 class TestLintExitCodes:
-    def test_clean_tree_exits_zero(self):
+    def test_clean_tree_exits_zero(self, capsys):
         import repro
 
         baseline = REPO_ROOT / "benchmarks" / "dplint_baseline.json"
@@ -67,6 +67,7 @@ class TestLintExitCodes:
             )
             == 0
         )
+        assert "no findings" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path):
         assert main(["lint", str(_violating_file(tmp_path))]) == 1
@@ -340,6 +341,7 @@ class TestValidationErrorsExitTwo:
             (["tradeoff", "--p", "2"], "tradeoff: p must lie in"),
             (["release", "--epsilon", "inf"], "release: epsilon must be finite"),
             (["serve", "--clients", "0"], "serve: clients must be"),
+            (["release", "--seed", "-1"], "release: seed must be nonnegative"),
         ],
     )
     def test_one_line_message_and_exit_two(self, capsys, argv, message):

@@ -381,6 +381,64 @@ class TestExplicitExports:
         )
         assert rule_findings(report, "DPL005") == []
 
+    def test_clean_lazy_table(self):
+        report = run(
+            """
+            \"\"\"Package doc.\"\"\"
+
+            from importlib import import_module as _import_module
+
+            from repro.exceptions import ValidationError
+
+            _LAZY_EXPORTS = {"Mechanism": "repro.mechanisms"}
+
+            def __getattr__(name):
+                \"\"\"Doc.\"\"\"
+                return getattr(_import_module(_LAZY_EXPORTS[name]), name)
+
+            __all__ = ["Mechanism", "ValidationError"]
+            """,
+            "mechanisms/__init__.py",
+        )
+        assert rule_findings(report, "DPL005") == []
+
+    def test_flags_lazy_table_drift(self):
+        report = run(
+            """
+            from importlib import import_module as _import_module
+
+            _LAZY_EXPORTS = {
+                "Mechanism": "repro.mechanisms",
+                "Unlisted": "repro.mechanisms",
+            }
+
+            def __getattr__(name):
+                \"\"\"Doc.\"\"\"
+                return getattr(_import_module(_LAZY_EXPORTS[name]), name)
+
+            __all__ = ["Mechanism", "Phantom"]
+            """,
+            "mechanisms/__init__.py",
+        )
+        messages = sorted(f.message for f in rule_findings(report, "DPL005"))
+        assert len(messages) == 2
+        assert "'Phantom'" in messages[0] and "stale" in messages[0]
+        assert "'Unlisted'" in messages[1] and "missing from" in messages[1]
+
+    def test_lazy_table_without_getattr_binds_nothing(self):
+        report = run(
+            """
+            _LAZY_EXPORTS = {"Mechanism": "repro.mechanisms"}
+
+            __all__ = ["Mechanism"]
+            """,
+            "mechanisms/__init__.py",
+        )
+        findings = rule_findings(report, "DPL005")
+        assert len(findings) == 1
+        assert "'Mechanism'" in findings[0].message
+        assert "stale" in findings[0].message
+
     def test_regular_module_exempt(self):
         report = run(
             """

@@ -34,6 +34,16 @@ class TestCheckRandomState:
         with pytest.raises(ValidationError):
             check_random_state("not a seed")
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_bool_is_not_a_seed(self, seed):
+        with pytest.raises(ValidationError, match="random generator"):
+            check_random_state(seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_raises_validation_error(self, seed):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            check_random_state(seed)
+
 
 class TestCheckArray:
     def test_coerces_lists(self):
