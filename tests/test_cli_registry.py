@@ -80,6 +80,15 @@ class TestCli:
 
 
 class TestCliLint:
+    def test_lint_clean_tree_exits_zero(self, capsys):
+        import repro
+
+        package_dir = str(pathlib.Path(next(iter(repro.__path__))))
+        baseline = str(REPO_ROOT / "benchmarks" / "dplint_baseline.json")
+        assert main(["lint", "--baseline", baseline, package_dir]) == 0
+        out = capsys.readouterr().out
+        assert "no findings" in out
+
     def test_lint_violating_file_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "repro" / "mechanisms" / "snippet.py"
         bad.parent.mkdir(parents=True)
