@@ -3,8 +3,8 @@
 Commands
 --------
 ``experiments``
-    List the reproduction's experiments and their bench files (the range
-    is derived from the registry, never hard-coded).
+    List the reproduction's experiments and their bench files, as the
+    registry holds them.
 ``bench``
     Drive the registered benchmark experiments through the parallel,
     cached engine and write machine-readable ``BENCH_<id>.json``
@@ -64,6 +64,11 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
+#: ``repro.experiments.registry.experiment_span()``, written out so that
+#: building the parser loads no ``repro.experiments`` module (its package
+#: imports the bench engine); tests/test_cli_registry.py pins the two equal.
+_EXPERIMENT_SPAN = "E1–E19"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,11 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from repro.experiments.registry import experiment_span
-
     sub.add_parser(
         "experiments",
-        help=f"list the reproduction's experiments ({experiment_span()})",
+        help=f"list the reproduction's experiments ({_EXPERIMENT_SPAN})",
     )
 
     bench = sub.add_parser(

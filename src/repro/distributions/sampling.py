@@ -6,7 +6,8 @@ to evaluate — exactly the setting Metropolis–Hastings handles. The discrete
 inverse-CDF sampler backs the exponential mechanism on finite ranges, and
 the batched Langevin (MALA) sampler opens the ``d ≫ 1`` regime: many
 chains advanced in lock-step as one set of numpy array operations, under a
-single stream-disciplined :class:`numpy.random.Generator`.
+single stream-disciplined :class:`numpy.random.Generator`, in
+contiguous blocks of chains that step in parallel threads.
 
 All Metropolis acceptance arithmetic stays in log-space
 (:func:`log_acceptance_ratio`): at Gibbs temperatures of order ``ε·n`` the
@@ -17,7 +18,9 @@ than wedge the chain in a state it can never leave.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,14 @@ def log_acceptance_ratio(
     if ratio.ndim == 0:
         return float(ratio)
     return ratio
+
+
+def _worker_count() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _log_uniform(rng: np.random.Generator, size=None):
@@ -230,6 +241,16 @@ class BatchedLangevinSampler:
     per row (callables permitting), so row ``i`` of a batch equals the
     lone row of a one-chain run bit for bit.
 
+    **Blocks on every core.** :meth:`run` splits the chains into
+    contiguous blocks, one per core the process may run on (its CPU
+    affinity). The calling thread draws each block's stream in chain
+    order and hands the block to a thread pool, so the stepping of early
+    blocks overlaps the drawing of later ones; numpy releases the GIL in
+    its array loops, so the blocks step in parallel. Because rows never
+    interact and the stream is drawn in the serial order, samples,
+    log-densities, the acceptance count and the generator's end state do
+    not depend on the split. A single block runs inline, with no pool.
+
     Each proposal is evaluated once: one call returns both the
     log-density and its gradient, which the acceptance test and the next
     drift share.
@@ -241,7 +262,9 @@ class BatchedLangevinSampler:
         ``(m, d)`` states to ``((m,) values, (m, d) gradients)``. Row
         ``i`` of both results must depend only on row ``i`` of the input
         (no cross-chain reductions), or batched and sequential runs will
-        diverge.
+        diverge. It is called from several threads at once, on disjoint
+        blocks of rows, so it must be thread-safe: a pure function of its
+        input is.
     dimension:
         Dimension ``d`` of the state space.
     step_size:
@@ -340,13 +363,43 @@ class BatchedLangevinSampler:
                 "grad_log_density must map (m, d) states to (m, d) gradients"
             )
 
-        noise, log_uniforms = self._draw_blocks(n_chains, steps, rng)
+        blocks = min(_worker_count(), n_chains)
+        edges = [n_chains * block // blocks for block in range(blocks + 1)]
+        # Drawn lazily, in chain order, on this thread only: each block's
+        # stream is drawn just before the block is handed to a worker.
+        work = (
+            (state[lo:hi], state_log_density[lo:hi], state_grad[lo:hi],
+             *self._draw_blocks(hi - lo, steps, rng))
+            for lo, hi in zip(edges, edges[1:])
+        )
+        if blocks == 1:
+            outcomes = [self._advance(*next(work))]
+        else:
+            with ThreadPoolExecutor(max_workers=blocks) as pool:
+                futures = [pool.submit(self._advance, *args) for args in work]
+                outcomes = [future.result() for future in futures]
+
+        samples, log_densities, accepted = zip(*outcomes)
+        return LangevinResult(
+            samples=np.concatenate(samples),
+            acceptance_rate=sum(accepted) / (n_chains * steps),
+            log_densities=np.concatenate(log_densities),
+        )
+
+    def _advance(self, state, state_log_density, state_grad, noise,
+                 log_uniforms):
+        """Step one block of chains through its pre-drawn stream.
+
+        Returns the block's final states, their log-densities and the
+        number of accepted proposals. Rows never interact, so any split
+        of the chains into blocks gives the same rows.
+        """
         h = self.step_size
         half_h2 = 0.5 * h * h
         inv_2h2 = 1.0 / (2.0 * h * h)
         accepted = 0
 
-        for step in range(steps):
+        for step in range(noise.shape[1]):
             drift = state + half_h2 * state_grad
             proposal = drift + h * noise[:, step, :]
             proposal_log_density, proposal_grad = self._evaluate(proposal)
@@ -368,9 +421,4 @@ class BatchedLangevinSampler:
             )
             state_grad = np.where(accept[:, None], proposal_grad, state_grad)
             accepted += int(accept.sum())
-
-        return LangevinResult(
-            samples=state,
-            acceptance_rate=accepted / (n_chains * steps),
-            log_densities=state_log_density,
-        )
+        return state, state_log_density, accepted

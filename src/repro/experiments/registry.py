@@ -3,9 +3,11 @@
 One authoritative table mapping experiment ids to the paper claim, the
 implementing modules and the bench file that regenerates the result. The
 CLI prints it; a test asserts it stays in sync with the bench files on
-disk. Anything that needs to name the id range (docs, CLI help) should
-derive it via :func:`experiment_span` rather than hard-coding it — a
-hard-coded "E1…E12" went stale once already.
+disk. Anything that needs to name the id range should derive it via
+:func:`experiment_span` rather than hard-coding it — a hard-coded
+"E1…E12" went stale once already. The one exception is the CLI help,
+which must not import this package; a test pins its copy to
+:func:`experiment_span`.
 """
 
 from __future__ import annotations

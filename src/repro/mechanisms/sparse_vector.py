@@ -116,6 +116,53 @@ class SparseVector(Mechanism):
             answers.append(self.query(float(query_fn(data))))
         return answers
 
+    def _release_many(self, dataset, n, rng) -> list[list[bool]]:
+        """Batch kernel: ``n`` answer streams, draw for draw the serial loop.
+
+        Each query is evaluated once per batch, so queries must be pure
+        functions of ``data``. A release consumes one Laplace draw for
+        the threshold and one per query answered, up to the halting
+        positive. The kernel draws enough unit Laplace values for the
+        longest batch in one call (``s·laplace(1)`` equals
+        ``laplace(s)`` bit for bit), walks them, then rewinds the
+        generator and redraws exactly the count consumed, so it ends
+        where ``n`` sequential releases leave it. The draws take memory
+        of the order of the largest possible output, ``n·(1 + queries)``
+        values. The mechanism's state is that of the last release.
+        """
+        data, queries = dataset
+        values = [float(query_fn(data)) for query_fn in queries]
+        threshold_scale = self._threshold_noise.scale
+        query_scale = self._query_noise.scale
+        unit_noise = LaplaceNoise(scale=1.0)
+        start = rng.bit_generator.state
+        unit = unit_noise.sample(
+            size=n * (1 + len(values)), random_state=rng
+        ).tolist()
+        answers = []
+        offset = 0
+        for _ in range(n):
+            threshold = self.threshold + threshold_scale * unit[offset]
+            offset += 1
+            row = []
+            positives = 0
+            for value in values:
+                above = value + query_scale * unit[offset] >= threshold
+                offset += 1
+                row.append(above)
+                if above:
+                    positives += 1
+                    if positives >= self.max_positives:
+                        break
+            answers.append(row)
+        rng.bit_generator.state = start
+        unit_noise.sample(size=offset, random_state=rng)
+        self._rng = rng
+        self._noisy_threshold = threshold
+        self._positives_used = positives
+        self._halted = positives >= self.max_positives
+        return answers
+
 
 def above_threshold(
     data,

@@ -133,7 +133,8 @@ class RegularizedExponentialMechanism(Mechanism):
 
         The returned sampler's closure maps ``(m, d)`` states row-wise
         (``einsum`` contractions only — no BLAS matmul — so row ``i`` of a
-        batch is bit-identical to a one-chain evaluation).
+        batch is bit-identical to a one-chain evaluation). It is pure, so
+        the sampler's worker threads may call it at once.
         """
         x, y = _check_classification_data(x, y)
         norms = np.linalg.norm(x, axis=1)

@@ -4,9 +4,14 @@ import pathlib
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.exceptions import ValidationError
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    experiment_span,
+    get_experiment,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -41,6 +46,9 @@ class TestRegistry:
     def test_lookup_unknown(self):
         with pytest.raises(ValidationError):
             get_experiment("E99")
+
+    def test_cli_help_span_matches_registry(self):
+        assert cli._EXPERIMENT_SPAN == experiment_span()
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 """Unit tests for the samplers."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.distributions import (
     MetropolisHastingsSampler,
     inverse_cdf_sample,
     log_acceptance_ratio,
+    sampling,
 )
 from repro.exceptions import ValidationError
 
@@ -274,3 +276,84 @@ class TestBatchedLangevinSampler:
         )
         with pytest.raises(ValidationError):
             bad_grad.run(3, random_state=0)
+
+
+class TestLangevinBlockPartition:
+    """Any split of the chains into blocks gives the same run, bit for bit."""
+
+    @staticmethod
+    def _sampler():
+        mu = np.array([0.5, -1.0, 2.0])
+        return BatchedLangevinSampler(
+            lambda theta: (
+                -0.5 * ((theta - mu) ** 2).sum(axis=1)
+                - 0.1 * (theta**4).sum(axis=1),
+                mu - theta - 0.4 * theta**3,
+            ),
+            3,
+            step_size=0.7,
+        )
+
+    @staticmethod
+    def _run(monkeypatch, blocks, n_chains):
+        monkeypatch.setattr(sampling, "_worker_count", lambda: blocks)
+        rng = np.random.default_rng(2024)
+        result = TestLangevinBlockPartition._sampler().run(
+            n_chains, steps=20, random_state=rng
+        )
+        return result, rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_chains", [1, 2, 7, 10, 23])
+    def test_block_counts_give_identical_runs(self, monkeypatch, n_chains):
+        runs = [
+            self._run(monkeypatch, blocks, n_chains) for blocks in (1, 2, 3, 7)
+        ]
+        rng = np.random.default_rng(2024)
+        lone = [
+            self._sampler().run(1, steps=20, random_state=rng)
+            for _ in range(n_chains)
+        ]
+        for result, end_state in runs:
+            assert np.array_equal(
+                result.samples, np.concatenate([r.samples for r in lone])
+            )
+            assert np.array_equal(
+                result.log_densities,
+                np.concatenate([r.log_densities for r in lone]),
+            )
+            assert round(result.acceptance_rate * n_chains * 20) == sum(
+                round(r.acceptance_rate * 20) for r in lone
+            )
+            assert result.acceptance_rate == runs[0][0].acceptance_rate
+            assert end_state == rng.bit_generator.state
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_worker_count", lambda: 3)
+
+        def failing(theta):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("density failed in a worker")
+            return -0.5 * (theta * theta).sum(axis=1), -theta
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="in a worker"):
+            BatchedLangevinSampler(failing, 2).run(9, steps=5, random_state=0)
+        assert threading.active_count() == before
+
+    def test_single_block_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_worker_count", lambda: 1)
+        threads = set()
+
+        def recording(theta):
+            threads.add(threading.current_thread())
+            return -0.5 * (theta * theta).sum(axis=1), -theta
+
+        BatchedLangevinSampler(recording, 2).run(9, steps=5, random_state=0)
+        assert threads == {threading.current_thread()}
+
+    def test_worker_count_is_the_process_affinity(self):
+        assert sampling._worker_count() >= 1
+        if hasattr(sampling.os, "sched_getaffinity"):
+            assert sampling._worker_count() == len(
+                sampling.os.sched_getaffinity(0)
+            )

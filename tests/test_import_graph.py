@@ -91,6 +91,9 @@ class TestImportGraph:
         )
         assert "repro.cli" in modules
         assert _under(modules, ["scipy"]) == []
+        # The parser's help names the experiment range without importing
+        # repro.experiments, whose package loads the bench engine.
+        assert _under(modules, ["repro.experiments"]) == []
 
     def test_star_import_and_dir_cover_all(self):
         seen = _fresh(

@@ -72,6 +72,65 @@ class TestSparseVector:
             SparseVector(0.0, 1.0, 1.0, max_positives=0)
 
 
+class TestSparseVectorBatchKernel:
+    """``release_many`` ≡ the serial loop, draw for draw."""
+
+    @staticmethod
+    def _case(max_positives, n_queries, threshold):
+        data = [1.0, 0.0, 1.0, 1.0]
+        queries = [
+            lambda d, k=k: float(sum(d)) - 0.5 * k for k in range(n_queries)
+        ]
+        mechanism = SparseVector(
+            threshold, 1.0, 2.0, max_positives=max_positives
+        )
+        return mechanism, (data, queries)
+
+    @staticmethod
+    def _state(mechanism):
+        return (
+            mechanism._noisy_threshold,
+            mechanism._positives_used,
+            mechanism.halted,
+        )
+
+    # A threshold of -20 halts at nearly every release, +30 almost never.
+    @pytest.mark.parametrize("threshold", [-20.0, 2.0, 30.0])
+    @pytest.mark.parametrize("n_queries", [1, 2, 3, 5])
+    @pytest.mark.parametrize("max_positives", [1, 2, 3])
+    def test_batch_matches_serial_loop(
+        self, max_positives, n_queries, threshold
+    ):
+        mechanism, dataset = self._case(max_positives, n_queries, threshold)
+        batch_rng = np.random.default_rng(31)
+        batch = mechanism.release_many(dataset, 40, random_state=batch_rng)
+        batch_state = self._state(mechanism)
+        serial_rng = np.random.default_rng(31)
+        serial = [
+            mechanism.release(dataset, random_state=serial_rng)
+            for _ in range(40)
+        ]
+        assert batch == serial
+        assert batch_state == self._state(mechanism)
+        assert batch_rng.bit_generator.state == serial_rng.bit_generator.state
+
+    def test_single_draw_matches_release(self):
+        mechanism, dataset = self._case(2, 3, 2.0)
+        one = mechanism.release_many(dataset, 1, random_state=5)[0]
+        assert one == mechanism.release(dataset, random_state=5)
+
+    def test_queries_evaluated_once_per_batch(self):
+        calls = []
+
+        def query(data):
+            calls.append(data)
+            return 0.0
+
+        mechanism = SparseVector(30.0, 1.0, 1.0)
+        mechanism.release_many(([1.0], [query, query]), 25, random_state=0)
+        assert len(calls) == 2
+
+
 class TestAboveThreshold:
     def test_finds_first_above(self):
         data = [1] * 10

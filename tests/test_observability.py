@@ -18,6 +18,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.mechanisms import LaplaceMechanism
+from repro.mechanisms import base as mechanisms_base
 from repro.observability import (
     BudgetChargeEvent,
     BudgetRefusalEvent,
@@ -335,47 +336,40 @@ class TestSinks:
 
 
 class TestDisabledOverhead:
-    def test_disabled_hook_under_five_percent(self):
-        """The no-op tracing path must stay within 5% of the bare release.
+    def test_disabled_hook_reads_tracer_once_and_records_nothing(
+        self, monkeypatch
+    ):
+        """With tracing off, a release costs the hook one ``current()`` read.
 
-        The base-class hook costs one module read + a None check (~0.5 µs);
-        on a release doing real work (a ~150 µs vectorized query over 64k
-        records plus a Laplace draw) that is far below the 5% budget.
-        Interleaved min-of-trials cancels scheduler noise, alternating
-        which variant runs first so clock-ramp bias cancels too; on a
-        loaded box even the min can wobble past the budget, so the
-        comparison retries on progressively quieter samples before
-        failing.
+        No span, counter, histogram or ledger event is touched or built,
+        on ``release`` or ``release_many``. This is the exact form of the
+        near-zero disabled overhead; ``tools/hook_overhead.py`` reports
+        the wall-clock ratio, which depends on the host.
         """
+        assert current() is None
+        calls = []
+        real_current = tracer_module.current
+
+        def counting_current():
+            calls.append("current")
+            return real_current()
+
+        def spy(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(tracer_module, "current", counting_current)
+        for name in ("span", "record", "count", "observe"):
+            monkeypatch.setattr(Tracer, name, spy(f"Tracer.{name}"))
+        for name in ("span", "record", "activate"):
+            monkeypatch.setattr(tracer_module, name, spy(name))
+        monkeypatch.setattr(
+            mechanisms_base, "MechanismReleaseEvent", spy("event")
+        )
         mechanism = LaplaceMechanism(
             lambda d: float(np.log1p(np.abs(d)).sum()), 1.0, 1.0
         )
-        dataset = np.ones(65536)
-        bare = mechanism.release.__wrapped__  # the hook is functools.wraps'd
-        wrapped = type(mechanism).release
-        rounds = 30
-
-        def timed(fn):
-            rng = np.random.default_rng(0)
-            start = time.perf_counter()
-            for _ in range(rounds):
-                fn(mechanism, dataset, random_state=rng)
-            return time.perf_counter() - start
-
-        bare_times, wrapped_times = [], []
-        for attempt in range(5):
-            for trial in range(8):
-                if trial % 2:
-                    wrapped_times.append(timed(wrapped))
-                    bare_times.append(timed(bare))
-                else:
-                    bare_times.append(timed(bare))
-                    wrapped_times.append(timed(wrapped))
-            assert current() is None  # measured the no-op path
-            if min(wrapped_times) <= min(bare_times) * 1.05:
-                return
-        pytest.fail(
-            f"disabled hook overhead "
-            f"{min(wrapped_times) / min(bare_times) - 1:.1%} exceeds 5% "
-            f"after {len(wrapped_times)} interleaved trials"
-        )
+        mechanism.release(np.ones(64), random_state=0)
+        assert calls == ["current"]
+        calls.clear()
+        mechanism.release_many(np.ones(64), 5, random_state=0)
+        assert calls == ["current"]

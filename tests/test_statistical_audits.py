@@ -137,6 +137,21 @@ class TestHarnessHasTeeth:
                 n_samples=SAMPLES,
             )
 
+    def test_sparse_vector_with_shrunk_noise_fails(self):
+        prepared = build_audit(
+            "sparse-vector", epsilon=EPSILON, n=N, noise_scale=0.02
+        )
+        with pytest.raises(DPAuditError):
+            assert_dp(
+                prepared.mechanism,
+                prepared.pair,
+                epsilon=EPSILON,
+                name=prepared.name,
+                kind=prepared.kind,
+                output_key=prepared.output_key,
+                n_samples=SAMPLES,
+            )
+
     def test_boosted_local_channel_fails(self):
         """A k-RR report more truthful than ε allows must be rejected —
         the per-record guarantee gives the audit a sharp target."""
